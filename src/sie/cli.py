@@ -30,7 +30,7 @@ from .flow import IntegratorConfig
 from .hybrid import GuardConfig, simulate
 from .iss import SweepConfig, check_equivalence, fit_gain, run_sweep
 from .models import model
-from .orbit import UpperBoundViolation, build_orbit, certify_prop1
+from .orbit import UpperBoundViolation, build_orbit, certify_prop1, nearest_chords
 from .poincare import find_fixed_point, linearize
 from .core import validate_system
 
@@ -176,20 +176,10 @@ def _json_default(obj):
 
 
 def _load_orbit_samples(path: str) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return np.atleast_2d(data)[:, 1:]
-
-
-def _polyline_distance(points: np.ndarray, x: np.ndarray) -> float:
-    p = points[:-1]
-    d = points[1:] - p
-    w = x[None, :] - p
-    denom = np.einsum("ij,ij->i", d, d)
-    denom[denom == 0.0] = 1.0
-    s = np.clip(np.einsum("ij,ij->i", w, d) / denom, 0.0, 1.0)
-    proj = p + s[:, None] * d
-    diff = x[None, :] - proj
-    return float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
+    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    if len(data) < 2:
+        raise ConfigError(f"{path}: orbit_samples needs at least two samples")
+    return data[:, 1:]
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> int:
@@ -221,11 +211,12 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     for si, seg in enumerate(traj.segments):
         ts = np.arange(seg.t0, seg.t1, sample_dt)
         ts = np.concatenate([ts, [seg.t1]])
-        for t in ts:
-            x = seg.eval(min(t, seg.t1))
+        xs = np.array([seg.eval(min(t, seg.t1)) for t in ts])
+        dists = nearest_chords(orbit_points, xs)[1] if orbit_points is not None else None
+        for j, (t, x) in enumerate(zip(ts, xs)):
             row = [t, *x]
-            if orbit_points is not None:
-                row.append(_polyline_distance(orbit_points, x))
+            if dists is not None:
+                row.append(dists[j])
             row.append(si)
             rows.append(row)
     _write_csv(out / "trajectory.csv", header, rows)
@@ -366,11 +357,11 @@ def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
     verdict = check_equivalence(sw)
     header = ["offset", "u_amp", "v_amp", "trials", "ultimate_orbital",
               "ultimate_discrete", "peak", "zeno_guard", "beating_guard",
-              "escape", "error"]
+              "escape", "error", "no_post_transient"]
+    tally_keys = ("zeno-guard", "beating-guard", "escape", "error", "no-post-transient")
     rows = [[c.offset, c.u_amp, c.v_amp, len(c.per_trial_orbital),
              c.ultimate_orbital, c.ultimate_discrete, c.peak,
-             c.guard_tallies.get("zeno-guard", 0), c.guard_tallies.get("beating-guard", 0),
-             c.guard_tallies.get("escape", 0), c.guard_tallies.get("error", 0)]
+             *(c.guard_tallies.get(k, 0) for k in tally_keys)]
             for c in sw.cells]
     _write_csv(out / "cells.csv", header, rows)
     gains = {}

@@ -111,13 +111,14 @@ class FlowSegment:
         return self.ys[i] + self.hs[i] * (self.qs[i] @ powers)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """Row-by-row `eval` of a batch of times, without the span check:
+        times outside [t0, t1] return the end states."""
         ts = np.asarray(ts, dtype=float)
-        out = np.empty((len(ts), self.n))
         idx = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(self.ts) - 1)
-        th = (ts - self.ts[idx]) / self.hs[idx]
+        hs = self.hs[idx]
+        th = (ts - self.ts[idx]) / hs
         powers = np.stack([th, th**2, th**3, th**4], axis=1)
-        for row, (i, p) in enumerate(zip(idx, powers)):
-            out[row] = self.ys[i] + self.hs[i] * (self.qs[i] @ p)
+        out = self.ys[idx] + hs[:, None] * np.einsum("kij,kj->ki", self.qs[idx], powers)
         out[ts <= self.t0] = self.ys[0]
         out[ts >= self.t1] = self.ys[-1]
         return out

@@ -55,15 +55,27 @@ class HybridTrajectory:
     error: str | None = None
 
     def eval(self, t: float) -> np.ndarray:
+        return self.eval_many(np.array([t], dtype=float))[0]
+
+    def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """States at a batch of times, one row per time.  A time shared by
+        two segments (an impact instant) belongs to the later one, so the
+        post-reset state is returned there."""
         if not self.segments:
             raise PreconditionError("trajectory holds no flow segments")
-        if t < self.segments[0].t0 or t > self.t_final + 1e-12 * max(1.0, abs(self.t_final)):
-            raise PreconditionError(f"t={t!r} outside trajectory span")
-        starts = [s.t0 for s in self.segments]
-        i = int(np.searchsorted(starts, t, side="right")) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        seg = self.segments[i]
-        return seg.eval(min(t, seg.t1))
+        ts = np.asarray(ts, dtype=float)
+        t_end = self.t_final + 1e-12 * max(1.0, abs(self.t_final))
+        outside = (ts < self.segments[0].t0) | (ts > t_end)
+        if outside.any():
+            raise PreconditionError(f"t={float(ts[outside][0])!r} outside trajectory span")
+        starts = np.array([s.t0 for s in self.segments])
+        which = np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, len(self.segments) - 1)
+        out = np.empty((len(ts), self.segments[0].n))
+        for i in np.unique(which):
+            rows = which == i
+            seg = self.segments[i]
+            out[rows] = seg.eval_many(np.minimum(ts[rows], seg.t1))
+        return out
 
     @property
     def final_state(self) -> np.ndarray:

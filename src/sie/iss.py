@@ -21,7 +21,7 @@ from .core import ContinuousSignal, DiscreteSequence, HybridSystemDef
 from .errors import FitDegenerate, PreconditionError
 from .flow import IntegratorConfig
 from .hybrid import GuardConfig, HybridTrajectory, simulate
-from .orbit import PeriodicOrbit, refine_distance
+from .orbit import PeriodicOrbit, nearest_chords, refine_distance
 from .poincare import StabilityReport
 
 _ZERO_FLOOR = 1e-6
@@ -52,6 +52,8 @@ class SweepConfig:
             raise PreconditionError("transient_cutoff must lie in (0, 1)")
         if self.trials < 1 or self.horizon_periods <= 0:
             raise PreconditionError("trials and horizon must be positive")
+        if self.samples_per_step < 1:
+            raise PreconditionError("samples_per_step must be at least 1")
         if self.pair_uv and len(self.u_amps) != len(self.v_amps):
             raise PreconditionError("pair_uv needs matching u_amps and v_amps lengths")
 
@@ -105,27 +107,38 @@ class IssSweepReport:
         raise KeyError((offset, u_amp, v_amp))
 
 
+def _orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
+    """dist(x, orbit) for each row of xs: the nearest-chord distance,
+    sharpened on the interpolant for rows closer than _REFINE_BELOW so decay
+    fits stay clean near the numerical floor (the chord value carries the
+    polyline sag)."""
+    i_chord, dev = nearest_chords(orbit.points, xs)
+    near = np.flatnonzero(dev < _REFINE_BELOW)
+    if near.size:
+        x = xs[near]
+        dev[near] = np.minimum.reduce([
+            refine_distance(orbit, x, i_chord[near]),
+            np.linalg.norm(x - orbit.points[0], axis=1),
+            np.linalg.norm(x - orbit.x_star, axis=1),
+        ])
+    return dev
+
+
 def _orbital_deviation(orbit: PeriodicOrbit, x: np.ndarray) -> float:
-    chord = orbit.coarse_distances(x)
-    d = float(np.min(chord))
-    if d < _REFINE_BELOW:
-        # the chord value carries the polyline sag; sharpen it on the
-        # interpolant so decay fits stay clean near the numerical floor
-        d = min(refine_distance(orbit, x, int(np.argmin(chord))),
-                float(np.linalg.norm(x - orbit.points[0])),
-                float(np.linalg.norm(x - orbit.x_star)))
-    return d
+    return float(_orbital_deviations(orbit, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _window_sup(orbit: PeriodicOrbit, traj: HybridTrajectory, t_lo: float,
-                t_hi: float, n_samples: int) -> float:
-    # half-open window [t_k, t_{k+1}): at the right edge the right-continuous
-    # trajectory already holds the next window's post-reset state
-    ts = np.linspace(t_lo, t_hi, n_samples, endpoint=False)
-    sup = 0.0
-    for t in ts:
-        sup = max(sup, _orbital_deviation(orbit, traj.eval(t)))
-    return sup
+def _window_sups(orbit: PeriodicOrbit, traj: HybridTrajectory, edges: np.ndarray,
+                 n_samples: int) -> np.ndarray:
+    """Sampled sup of dist(x(t), orbit) over each half-open window
+    [edges[i], edges[i+1]): at the right edge the right-continuous
+    trajectory already holds the next window's post-reset state.  The sample
+    times are np.linspace(lo, hi, n_samples, endpoint=False) per window,
+    computed with the same arithmetic for all windows at once."""
+    lo = edges[:-1, None]
+    ts = np.arange(n_samples) * ((edges[1:, None] - lo) / n_samples) + lo
+    dev = _orbital_deviations(orbit, traj.eval_many(ts.ravel()))
+    return np.max(dev.reshape(ts.shape), axis=1)
 
 
 def _initial_state(orbit: PeriodicOrbit, sys: HybridSystemDef, offset: float,
@@ -181,7 +194,8 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
         trial_orb: list[float] = []
         trial_disc: list[float] = []
         peak = 0.0
-        tallies = {"zeno-guard": 0, "beating-guard": 0, "escape": 0, "error": 0}
+        tallies = {"zeno-guard": 0, "beating-guard": 0, "escape": 0, "error": 0,
+                   "no-post-transient": 0}
         series: list[TrialSeries] = []
         keep = keep_series == "all" or (keep_series == "zero" and u_amp == 0.0 and v_amp == 0.0)
         for trial in range(sweep.trials):
@@ -197,17 +211,14 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
             disc = np.array([float(np.linalg.norm(imp.x_minus - x_star)) for imp in traj.impacts])
             edges = np.concatenate([[0.0], t_imp, [traj.t_final]])
             w_times = edges[:-1]
-            orb = np.array([
-                _window_sup(orbit, traj, edges[i], edges[i + 1], sweep.samples_per_step)
-                for i in range(len(edges) - 1)
-            ])
+            orb = _window_sups(orbit, traj, edges, sweep.samples_per_step)
             mask_d = t_imp >= t_post
             mask_o = w_times >= t_post
             if not mask_d.any() or not mask_o.any():
                 # the trial stopped returning to the surface (left the basin
                 # of the hybrid orbit) or the horizon is too short; tally it
                 # like a guard outcome rather than aborting the sweep
-                tallies["no-post-transient"] = tallies.get("no-post-transient", 0) + 1
+                tallies["no-post-transient"] += 1
                 continue
             trial_disc.append(float(np.max(disc[mask_d])))
             trial_orb.append(float(np.max(orb[mask_o])))

@@ -24,6 +24,8 @@ _CLOSURE_REL = 1e-8
 _DS_MAX_REL = 1e-3
 _TAU_TOL_REL = 1e-12
 _TAU_SET_TOL = 1e-9
+_BLOCK_ELEMENTS = 1 << 15  # row-chord pairs per nearest_chords block
+_REFINE_ROUNDS = 6
 
 
 class UpperBoundViolation(SieError):
@@ -61,18 +63,53 @@ class PeriodicOrbit:
 
     def coarse_distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from x to every chord of the sample polyline."""
-        x = np.asarray(x, dtype=float)
-        p = self.points[:-1]
-        d = self.points[1:] - p
-        w = x[None, :] - p
-        denom = np.einsum("ij,ij->i", d, d)
-        s = np.clip(np.einsum("ij,ij->i", w, d) / denom, 0.0, 1.0)
-        proj = p + s[:, None] * d
-        diff = x[None, :] - proj
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return np.sqrt(_chord_sq_distances(self.points, np.asarray(x, dtype=float)[None, :])[0])
 
     def coarse_distance(self, x: np.ndarray) -> float:
         return float(np.min(self.coarse_distances(x)))
+
+
+def _chord_sq_distances(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of xs to each chord of the polyline
+    through points, shape (len(xs), len(points) - 1).  A zero-length chord
+    (a repeated sample) counts as its endpoint.  Works one coordinate at a
+    time on (rows, chords) arrays, in place where it can."""
+    p = points[:-1]
+    d = points[1:] - p
+    denom = np.einsum("ij,ij->i", d, d)
+    denom[denom == 0.0] = 1.0
+    # s: clipped projection parameter of x onto each chord
+    s = (xs[:, 0, None] - p[:, 0]) * d[:, 0]
+    for j in range(1, points.shape[1]):
+        s += (xs[:, j, None] - p[:, j]) * d[:, j]
+    s /= denom
+    np.clip(s, 0.0, 1.0, out=s)
+    out = np.zeros_like(s)
+    for j in range(points.shape[1]):
+        diff = s * d[:, j]
+        diff += p[:, j]
+        np.subtract(xs[:, j, None], diff, out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
+def nearest_chords(points: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and distance of the nearest polyline chord for each row of xs.
+
+    Rows go through `_chord_sq_distances` in blocks of at most
+    _BLOCK_ELEMENTS row-chord pairs, keeping only each row's minimum, so
+    memory stays flat however many rows there are.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // (len(points) - 1))
+    idx = np.empty(len(xs), dtype=np.intp)
+    sq = np.empty(len(xs))
+    for lo in range(0, len(xs), rows):
+        chord = _chord_sq_distances(points, xs[lo:lo + rows])
+        best = np.argmin(chord, axis=1)
+        idx[lo:lo + rows] = best
+        sq[lo:lo + rows] = chord[np.arange(len(best)), best]
+    return idx, np.sqrt(sq)
 
 
 def build_orbit(sys: HybridSystemDef, report: StabilityReport,
@@ -154,56 +191,67 @@ def _golden_refine(orbit: PeriodicOrbit, x: np.ndarray, lo: float, hi: float) ->
     h = max(tol, 1e-9 * max(1.0, orbit.t_star))
     t0, t1, t2 = max(lo, tau - h), tau, min(hi, tau + h)
     if t0 < t1 < t2:
-        g0, g1, g2 = g(t0), g(t1), g(t2)
-        denom = (t1 - t0) * (g1 - g2) - (t1 - t2) * (g1 - g0)
-        if denom != 0.0:
-            t_par = t1 - 0.5 * ((t1 - t0) ** 2 * (g1 - g2) - (t1 - t2) ** 2 * (g1 - g0)) / denom
-            if lo <= t_par <= hi and g(t_par) < g1:
-                tau = t_par
+        g1 = g(t1)
+        t_par = float(_parabolic_min((t0, t1, t2), (g(t0), g1, g(t2))))
+        if t_par != t1 and lo <= t_par <= hi and g(t_par) < g1:
+            tau = t_par
     return tau, math.sqrt(g(tau))
 
 
-def _parabolic_min(ts: np.ndarray, gs: np.ndarray) -> float:
-    """Vertex of the parabola through three (t, g) samples; middle t on
-    degenerate input."""
+def _parabolic_min(ts, gs):
+    """Vertex of the parabola through three (t, g) samples, elementwise
+    when each of the three is an array; the middle t on degenerate input."""
     (t0, t1, t2), (g0, g1, g2) = ts, gs
     denom = (t1 - t0) * (g1 - g2) - (t1 - t2) * (g1 - g0)
-    if denom == 0.0:
-        return t1
-    return t1 - 0.5 * ((t1 - t0) ** 2 * (g1 - g2) - (t1 - t2) ** 2 * (g1 - g0)) / denom
+    flat = denom == 0.0
+    num = (t1 - t0) ** 2 * (g1 - g2) - (t1 - t2) ** 2 * (g1 - g0)
+    return np.where(flat, t1, t1 - 0.5 * num / np.where(flat, 1.0, denom))
 
 
-def refine_distance(orbit: PeriodicOrbit, x: np.ndarray, i_chord: int) -> float:
-    """Cheap sharpening of the polyline distance near chord i_chord: two
-    rounds of parabolic interpolation of ||x - y(tau)||^2 on the dense
-    interpolant.  Always an overestimate of the true curve distance (it
-    evaluates actual curve points), accurate to far below the chord sag."""
-    x = np.asarray(x, dtype=float)
+def refine_distance(orbit: PeriodicOrbit, xs: np.ndarray, i_chords: np.ndarray) -> np.ndarray:
+    """Cheap sharpening of the polyline distance of each row of xs near its
+    chord i_chords[k]: rounds of parabolic interpolation of
+    ||x - y(tau)||^2 on the dense interpolant, for all rows at once.  Always
+    an overestimate of the true curve distance (it evaluates actual curve
+    points), accurate to far below the chord sag."""
+    xs = np.asarray(xs, dtype=float)
+    i_chords = np.asarray(i_chords, dtype=np.intp)
 
-    def g(tau: float) -> float:
-        d = x - orbit.eval(tau)
-        return float(d @ d)
+    def g(rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        d = xs[rows] - orbit.eval_many(taus)
+        return np.einsum("ij,ij->i", d, d)
 
-    lo = orbit.taus[max(i_chord - 1, 0)]
-    hi = orbit.taus[min(i_chord + 2, len(orbit.taus) - 1)]
-    ts = np.array([lo, 0.5 * (lo + hi), hi])
-    gs = np.array([g(t) for t in ts])
-    best_t = ts[int(np.argmin(gs))]
-    best_g = float(np.min(gs))
+    lo = orbit.taus[np.maximum(i_chords - 1, 0)]
+    hi = orbit.taus[np.minimum(i_chords + 2, len(orbit.taus) - 1)]
+    rows = np.arange(len(xs))
+    ts = np.stack([lo, 0.5 * (lo + hi), hi])
+    gs = g(np.tile(rows, 3), ts.ravel()).reshape(3, -1)
+    first = np.argmin(gs, axis=0)
+    best_t = ts[first, rows]
+    best_g = gs[first, rows]
     width = 0.5 * (hi - lo)
+    stop = 1e-12 * max(1.0, orbit.t_star)
     # each round re-centers on the parabola vertex and shrinks the stencil,
-    # so the cubic-term bias of a single fit dies off geometrically
-    for _ in range(6):
-        t_new = min(max(_parabolic_min(ts, gs), lo), hi)
-        g_new = g(t_new)
-        if g_new < best_g:
-            best_t, best_g = t_new, g_new
-        width *= 0.15
-        if width < 1e-12 * max(1.0, orbit.t_star):
+    # so the cubic-term bias of a single fit dies off geometrically; a row
+    # stops once its stencil is below the tau resolution
+    for round_ in range(_REFINE_ROUNDS):
+        if round_:
+            mid = best_t[rows]
+            ts = np.stack([np.maximum(lo[rows], mid - width), mid,
+                           np.minimum(hi[rows], mid + width)])
+            g_side = g(np.tile(rows, 2), ts[[0, 2]].ravel()).reshape(2, -1)
+            gs = np.stack([g_side[0], best_g[rows], g_side[1]])
+        t_new = np.clip(_parabolic_min(ts, gs), lo[rows], hi[rows])
+        g_new = g(rows, t_new)
+        better = g_new < best_g[rows]
+        best_t[rows[better]] = t_new[better]
+        best_g[rows[better]] = g_new[better]
+        width = 0.15 * width
+        live = width >= stop
+        rows, width = rows[live], width[live]
+        if not rows.size:
             break
-        ts = np.array([max(lo, best_t - width), best_t, min(hi, best_t + width)])
-        gs = np.array([g(ts[0]), best_g, g(ts[2])])
-    return math.sqrt(best_g)
+    return np.sqrt(best_g)
 
 
 def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[float]]:

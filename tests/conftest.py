@@ -54,3 +54,11 @@ def rimless_orbit(rimless_sys, rimless_report):
 @pytest.fixture(scope="session")
 def sweep_cfg():
     return IntegratorConfig(rtol=1e-8, atol=1e-10)
+
+
+def scalar_traj_eval(traj, t):
+    """Row reference for HybridTrajectory.eval_many: the last segment that
+    starts at or before t (the post-reset one at an impact instant),
+    evaluated with the scalar FlowSegment.eval."""
+    seg = [s for s in traj.segments if s.t0 <= t][-1]
+    return seg.eval(min(t, seg.t1))

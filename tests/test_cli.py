@@ -104,6 +104,20 @@ class TestSimulateCommand:
         first = lines[1].split(",")
         assert float(first[3]) == pytest.approx(0.3, abs=1e-6)
 
+    def test_dist_column_repeated_and_too_few_samples(self, tmp_path):
+        # a repeated sample is a zero-length chord; one sample is no polyline
+        samples = tmp_path / "samples.csv"
+        samples.write_text("tau,x_1,x_2\n0,0,0\n0.5,0.5,0\n0.5,0.5,0\n1,1,0\n")
+        cfg = write_config(tmp_path, linear_simulate_config(orbit_samples=str(samples)))
+        out = tmp_path / "sim_out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "trajectory.csv").read_text().strip().splitlines()[1:]]
+        assert all(math.isfinite(float(r[3])) for r in rows)
+        assert float(rows[0][3]) == pytest.approx(0.3, abs=1e-12)
+        samples.write_text("tau,x_1,x_2\n0,0,0\n")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+
 
 class TestOrbitCommand:
     def test_rimless_verdict_line(self, tmp_path, capsys):
@@ -230,6 +244,36 @@ class TestSweepCommand:
         assert main(["iss-sweep", "--config", cfg, "--out", str(out_a)]) == 0
         assert main(["iss-sweep", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "cells.csv").read_bytes() == (out_b / "cells.csv").read_bytes()
+
+
+    def test_trials_plus_tallies_equal_configured_trials(self, tmp_path):
+        # a horizon just past the transient cutoff leaves most trials with
+        # no crossing after it; each such trial is tallied, not dropped
+        cfg = write_config(tmp_path, {
+            "model": {"name": "linear-reset", "params": {}},
+            "seed": 2,
+            "integrator": {"rtol": 1e-8, "atol": 1e-10},
+            "iss_sweep": {
+                "guess": [1.0, 0.5],
+                "offsets": [0.05],
+                "u_amps": [0.0, 0.05],
+                "v_amps": [0.0],
+                "trials": 6,
+                "horizon_periods": 1.5,
+                "transient_cutoff": 0.9,
+            },
+        })
+        out = tmp_path / "out"
+        assert main(["iss-sweep", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "cells.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        tallies = ["zeno_guard", "beating_guard", "escape", "error", "no_post_transient"]
+        assert header[-5:] == tallies
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert int(row["trials"]) + sum(int(row[k]) for k in tallies) == 6
+        assert sum(int(row["no_post_transient"]) for row in rows) > 0
 
 
 class TestValidateCommand:

@@ -157,3 +157,23 @@ class TestSensitivity:
         with pytest.raises(PreconditionError):
             flow_sensitivity(linear_sys, np.array([0.0, 1.0]), U0, 1.0,
                              direction=np.array([0.0, 2.0]))
+
+
+def test_eval_many_matches_row_by_row_eval(rimless_sys):
+    from tests.conftest import RIMLESS_OMEGA_PLUS
+    x0 = np.array([0.08 - math.pi / 8.0, RIMLESS_OMEGA_PLUS])
+    seg = integrate(rimless_sys, x0, ContinuousSignal.sinusoid([0.05], omega=4.0), (0.0, 1.0))
+    rng = np.random.default_rng(12)
+    # step nodes, step right ends, step interiors, the span ends, random times
+    ts = np.concatenate([seg.ts, seg.ts + seg.hs, seg.ts + 0.37 * seg.hs,
+                         [seg.t0, seg.t1], rng.uniform(seg.t0, seg.t1, 200)])
+    ts = ts[ts <= seg.t1]
+    batch = seg.eval_many(ts)
+    scale = max(1.0, float(np.max(np.abs(seg.ys))))
+    for t, row in zip(ts, batch):
+        assert np.max(np.abs(row - seg.eval(float(t)))) <= 1e-15 * scale
+    assert np.array_equal(seg.eval_many(np.array([seg.t0, seg.t1])), seg.ys[[0, -1]])
+    # outside the span eval raises and eval_many holds the end states
+    with pytest.raises(PreconditionError):
+        seg.eval(seg.t1 + 1e-3)
+    assert np.array_equal(seg.eval_many(np.array([-1.0, 2.0])), seg.ys[[0, -1]])

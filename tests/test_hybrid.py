@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
 from sie.errors import NoImpacts, PreconditionError
@@ -9,7 +11,8 @@ from sie.events import time_to_impact
 from sie.flow import IntegratorConfig
 from sie.hybrid import GuardConfig, poincare_sequence, simulate
 from sie import models
-from tests.conftest import RIMLESS_EIG, RIMLESS_OMEGA_STAR, RIMLESS_T_STAR
+from tests.conftest import (RIMLESS_EIG, RIMLESS_OMEGA_STAR, RIMLESS_T_STAR,
+                            RIMLESS_THETA_IMPACT, scalar_traj_eval)
 
 U0 = ContinuousSignal.zero(1)
 V0 = DiscreteSequence.zero(1)
@@ -152,3 +155,54 @@ def test_every_impact_on_surface_and_transversal(rimless_sys):
         assert abs(rimless_sys.eval_h(imp.x_minus)) <= 1e-10 * scale
         assert rimless_sys.lie_h(imp.x_minus, u(imp.t)) < 0.0
         assert rimless_sys.eval_h(imp.x_plus) > 0.0
+
+
+@pytest.fixture(scope="module")
+def forced_rimless_traj(rimless_sys):
+    # sinusoidal forcing and random impulses: impacts at uneven times
+    x0 = np.array([RIMLESS_THETA_IMPACT - 0.3, 1.2])
+    u = ContinuousSignal.sinusoid([0.1], omega=4.0)
+    vbar = DiscreteSequence.iid_uniform(0.02, seed=5, dim=1)
+    traj = simulate(rimless_sys, x0, u, vbar, 6.0, GuardConfig(t_star=RIMLESS_T_STAR),
+                    IntegratorConfig(rtol=1e-9, atol=1e-11))
+    assert traj.termination == "horizon-reached" and len(traj.impacts) >= 4
+    return traj
+
+
+def _assert_rows_match(traj, ts):
+    batch = traj.eval_many(ts)
+    scale = max(1.0, max(float(np.max(np.abs(s.ys))) for s in traj.segments))
+    for t, row in zip(ts, batch):
+        assert np.max(np.abs(row - scalar_traj_eval(traj, float(t)))) <= 1e-15 * scale
+
+
+class TestTrajectoryEvalMany:
+    def test_matches_rows_at_impacts_and_segment_ends(self, forced_rimless_traj):
+        traj = forced_rimless_traj
+        ends = [s.t1 for s in traj.segments]
+        starts = [s.t0 for s in traj.segments]
+        _assert_rows_match(traj, np.array(ends + starts + [0.0, traj.t_final]))
+        # an impact instant holds the post-reset state, t_final the last node
+        states = traj.eval_many(traj.impact_times())
+        assert np.array_equal(states, np.array([imp.x_plus for imp in traj.impacts]))
+        assert np.array_equal(traj.eval_many(np.array([traj.t_final]))[0],
+                              traj.segments[-1].ys[-1])
+        assert np.array_equal(traj.eval(traj.t_final), traj.segments[-1].ys[-1])
+
+    def test_unsorted_times_keep_their_order(self, forced_rimless_traj):
+        ts = np.linspace(0.0, forced_rimless_traj.t_final, 301)[::-1].copy()
+        _assert_rows_match(forced_rimless_traj, ts)
+
+    def test_out_of_span_raises(self, forced_rimless_traj):
+        traj = forced_rimless_traj
+        for bad in (-1e-6, traj.t_final + 1e-6):
+            with pytest.raises(PreconditionError):
+                traj.eval_many(np.array([0.5, bad]))
+            with pytest.raises(PreconditionError):
+                traj.eval(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_property_random_times(self, forced_rimless_traj, fractions):
+        _assert_rows_match(forced_rimless_traj,
+                           np.array(fractions) * forced_rimless_traj.t_final)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sie.core import ContinuousSignal
+from sie.core import ContinuousSignal, DiscreteSequence
 from sie.errors import FitDegenerate, PreconditionError
+from sie.hybrid import GuardConfig, simulate
 from sie.iss import (CellResult, IssSweepReport, SweepConfig, TrialSeries,
+                     _initial_state, _orbital_deviation, _window_sups,
                      check_equivalence, fit_decay, fit_gain, run_sweep)
-from tests.conftest import LN2, RIMLESS_EIG
+from tests.conftest import LN2, RIMLESS_EIG, scalar_traj_eval
 
 
 def small_sweep(**kw):
@@ -27,6 +29,8 @@ class TestSweepConfig:
             small_sweep(transient_cutoff=1.5)
         with pytest.raises(PreconditionError):
             small_sweep(u_amps=(0.0, 0.1), v_amps=(0.0,), pair_uv=True)
+        with pytest.raises(PreconditionError):
+            small_sweep(samples_per_step=0)
 
     def test_cells_cross_and_paired(self):
         cfg = small_sweep(u_amps=(0.0, 0.1), v_amps=(0.0, 0.2))
@@ -85,6 +89,92 @@ class TestRunSweep:
         report = run_sweep(rimless_sys, rimless_orbit, rimless_report, sweep, sweep_cfg)
         for cell in report.cells:
             assert all(v == 0 for v in cell.guard_tallies.values())
+
+
+# -- per-sample reference for the batched window measurement ---------------
+
+
+def _reference_refine(orbit, x, i_chord):
+    """Scalar parabolic rounds on ||x - y(tau)||^2, one eval per point."""
+    def g(tau):
+        d = x - orbit.eval(tau)
+        return float(d @ d)
+
+    def vertex(ts, gs):
+        (t0, t1, t2), (g0, g1, g2) = ts, gs
+        denom = (t1 - t0) * (g1 - g2) - (t1 - t2) * (g1 - g0)
+        if denom == 0.0:
+            return t1
+        return t1 - 0.5 * ((t1 - t0) ** 2 * (g1 - g2) - (t1 - t2) ** 2 * (g1 - g0)) / denom
+
+    lo = orbit.taus[max(i_chord - 1, 0)]
+    hi = orbit.taus[min(i_chord + 2, len(orbit.taus) - 1)]
+    ts = np.array([lo, 0.5 * (lo + hi), hi])
+    gs = np.array([g(t) for t in ts])
+    best_t, best_g = ts[int(np.argmin(gs))], float(np.min(gs))
+    width = 0.5 * (hi - lo)
+    for _ in range(6):
+        t_new = min(max(vertex(ts, gs), lo), hi)
+        g_new = g(t_new)
+        if g_new < best_g:
+            best_t, best_g = t_new, g_new
+        width *= 0.15
+        if width < 1e-12 * max(1.0, orbit.t_star):
+            break
+        ts = np.array([max(lo, best_t - width), best_t, min(hi, best_t + width)])
+        gs = np.array([g(ts[0]), best_g, g(ts[2])])
+    return math.sqrt(best_g)
+
+
+def _reference_deviation(orbit, x):
+    chord = orbit.coarse_distances(x)
+    d = float(np.min(chord))
+    if d < 5e-2:
+        d = min(_reference_refine(orbit, x, int(np.argmin(chord))),
+                float(np.linalg.norm(x - orbit.points[0])),
+                float(np.linalg.norm(x - orbit.x_star)))
+    return d
+
+
+def _reference_window_sups(orbit, traj, edges, n_samples):
+    sups = []
+    for t_lo, t_hi in zip(edges[:-1], edges[1:]):
+        sup = 0.0
+        for t in np.linspace(t_lo, t_hi, n_samples, endpoint=False):
+            sup = max(sup, _reference_deviation(orbit, scalar_traj_eval(traj, t)))
+        sups.append(sup)
+    return np.array(sups)
+
+
+@pytest.mark.parametrize("case", ["linear-reset", "rimless-wheel", "forced-rimless"])
+def test_window_sups_match_per_sample_loop(case, request, sweep_cfg):
+    name = "rimless" if "rimless" in case else "linear"
+    sysd = request.getfixturevalue(f"{name}_sys")
+    orbit = request.getfixturevalue(f"{name}_orbit")
+    u, vbar = ContinuousSignal.zero(1), DiscreteSequence.zero(1)
+    if case == "forced-rimless":
+        u = ContinuousSignal.sinusoid([0.1], omega=4.0)
+        vbar = DiscreteSequence.iid_uniform(0.02, seed=8, dim=1)
+    x0 = _initial_state(orbit, sysd, 0.05 if name == "linear" else 0.02,
+                        np.random.default_rng(21))
+    traj = simulate(sysd, x0, u, vbar, 20.0 * orbit.t_star,
+                    GuardConfig(t_star=orbit.t_star), sweep_cfg)
+    assert traj.termination == "horizon-reached"
+    edges = np.concatenate([[0.0], traj.impact_times(), [traj.t_final]])
+    batch = _window_sups(orbit, traj, edges, 24)
+    ref = _reference_window_sups(orbit, traj, edges, 24)
+    assert np.allclose(batch, ref, rtol=1e-12, atol=0.0)
+    # the zero-input tails reach the refined near-orbit regime
+    assert case == "forced-rimless" or ref.min() < 1e-6
+
+
+def test_single_deviation_matches_reference(rimless_orbit):
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        tau = rng.uniform(0.0, rimless_orbit.t_star)
+        x = rimless_orbit.eval(tau) + 10.0 ** rng.uniform(-9.0, 0.0) * rng.normal(size=2)
+        assert _orbital_deviation(rimless_orbit, x) == pytest.approx(
+            _reference_deviation(rimless_orbit, x), rel=1e-12, abs=0.0)
 
 
 class TestFitDecay:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sie.errors import ClosureError
+from sie.iss import _orbital_deviation
 from sie.orbit import (build_orbit, certify_prop1, dist_to_orbit,
-                       refine_distance)
+                       nearest_chords, refine_distance)
 from tests.conftest import RIMLESS_OMEGA_PLUS
 
 
@@ -86,15 +87,46 @@ class TestDistToOrbit:
             assert refined >= coarse - sag
 
     def test_refine_matches_full_query(self, rimless_orbit):
+        # one batched call over all rows, each row checked on its own
         rng = np.random.default_rng(5)
+        xs = []
         for _ in range(50):
             tau = rng.uniform(0.0, rimless_orbit.t_star)
             off = 10.0 ** rng.uniform(-9.0, -2.0)
-            x = rimless_orbit.eval(tau) + off * rng.normal(size=2)
-            chord = rimless_orbit.coarse_distances(x)
-            fast = refine_distance(rimless_orbit, x, int(np.argmin(chord)))
+            xs.append(rimless_orbit.eval(tau) + off * rng.normal(size=2))
+        xs = np.array(xs)
+        chords = [int(np.argmin(rimless_orbit.coarse_distances(x))) for x in xs]
+        fast = refine_distance(rimless_orbit, xs, np.array(chords))
+        for x, d in zip(xs, fast):
             full, _ = dist_to_orbit(rimless_orbit, x)
-            assert fast == pytest.approx(full, abs=1e-12)
+            assert d == pytest.approx(full, abs=1e-12)
+
+    def test_repeated_sample_counts_as_its_endpoint(self, linear_orbit):
+        # a repeated orbit sample makes a zero-length chord, which must read
+        # as its endpoint, not as 0/0
+        k = int(np.searchsorted(linear_orbit.points[:, 0], 0.5))
+        orb = replace(linear_orbit,
+                      taus=np.insert(linear_orbit.taus, k, linear_orbit.taus[k]),
+                      points=np.insert(linear_orbit.points, k, linear_orbit.points[k], axis=0))
+        x = np.array([0.5, 0.2])
+        assert np.all(np.isfinite(orb.coarse_distances(x)))
+        d, taus = dist_to_orbit(orb, x)
+        assert d == pytest.approx(0.2, abs=1e-9)
+        assert taus[0] == pytest.approx(0.5, abs=1e-6)
+        assert _orbital_deviation(orb, x) == pytest.approx(0.2, abs=1e-9)
+        # next to the repeated sample the refined near-orbit path runs
+        x_near = orb.points[k] + np.array([0.0, 1e-3])
+        assert _orbital_deviation(orb, x_near) == pytest.approx(1e-3, abs=1e-9)
+        idx, dist = nearest_chords(orb.points, np.array([orb.points[k]]))
+        assert dist[0] == 0.0 and idx[0] in (k - 1, k, k + 1)
+
+    def test_nearest_chords_blocks_match_one_matrix(self, rimless_orbit):
+        rng = np.random.default_rng(8)
+        xs = rimless_orbit.x_star + rng.uniform(-1.0, 1.0, size=(500, 2))
+        idx, dist = nearest_chords(rimless_orbit.points, xs)
+        full = np.array([rimless_orbit.coarse_distances(x) for x in xs])
+        assert np.array_equal(idx, np.argmin(full, axis=1))
+        assert np.array_equal(dist, np.min(full, axis=1))
 
     def test_no_self_intersection(self, rimless_orbit):
         # distinct parameter values keep distinct points (injectivity):
