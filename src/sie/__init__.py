@@ -4,10 +4,9 @@ periodic orbits and input-to-state stability sweeps."""
 
 from .core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
                    ValidationReport, euclidean, point_set_distance,
-                   signal_sup_norm, validate_system)
+                   validate_system)
 from .errors import SieError
-from .events import (ImpactEvent, TimeToImpact, locate_crossing,
-                     time_to_impact, time_to_impact_from_splus)
+from .events import ImpactEvent, TimeToImpact, time_to_impact
 from .flow import FlowSegment, IntegratorConfig, flow_sensitivity, integrate
 from .hybrid import GuardConfig, HybridTrajectory, Impact, poincare_sequence, simulate
 from .iss import (DecayFit, EquivalenceVerdict, GainFit, IssSweepReport,
@@ -21,9 +20,8 @@ from .poincare import (StabilityReport, SurfaceChart, find_fixed_point,
 
 __all__ = [
     "ContinuousSignal", "DiscreteSequence", "HybridSystemDef",
-    "ValidationReport", "euclidean", "point_set_distance", "signal_sup_norm",
-    "validate_system", "SieError", "ImpactEvent", "TimeToImpact",
-    "locate_crossing", "time_to_impact", "time_to_impact_from_splus",
+    "ValidationReport", "euclidean", "point_set_distance", "validate_system",
+    "SieError", "ImpactEvent", "TimeToImpact", "time_to_impact",
     "FlowSegment", "IntegratorConfig", "flow_sensitivity", "integrate",
     "GuardConfig", "HybridTrajectory", "Impact", "poincare_sequence",
     "simulate", "DecayFit", "EquivalenceVerdict", "GainFit", "IssSweepReport",

@@ -68,7 +68,7 @@ class HybridSystemDef:
             out = np.asarray(self.f(x, u_value), dtype=float)
         except Exception as exc:  # noqa: BLE001 - converted to structured failure
             raise EvaluatorFailure("f", x, str(exc)) from exc
-        if out.shape != (self.n,) or not np.all(np.isfinite(out)):
+        if out.shape != (self.n,) or not np.isfinite(out).all():
             raise EvaluatorFailure("f", x, f"returned {out!r}")
         return out
 
@@ -395,8 +395,3 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray],
             degenerate_gradient=degenerate,
         ))
     return ValidationReport(probes=tuple(results))
-
-
-def signal_sup_norm(u: ContinuousSignal) -> float:
-    """Module-level alias for ContinuousSignal.sup_norm."""
-    return u.sup_norm()

@@ -47,10 +47,6 @@ class Blowup(SieError):
         super().__init__(f"state norm {norm:.3g} exceeded blowup bound at t={t:.6g}")
 
 
-class NoCrossing(SieError):
-    """The surface function kept its sign over the searched span."""
-
-
 class GrazeDetected(SieError):
     """Tangential contact with the switching surface; excluded by assumption,
     surfaced loudly rather than resolved."""

@@ -1,4 +1,4 @@
-"""Surface-crossing location and the two time-to-impact maps.
+"""Surface-crossing location and the time-to-impact map.
 
 Crossings are located by sign-change bracketing on the dense output of each
 accepted step (bisection, then one Newton polish using the flow derivative
@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContinuousSignal, HybridSystemDef
-from .errors import (GrazeDetected, InfiniteTimeToImpact, NoCrossing,
-                     PreconditionError, ResetNotInSPlus)
+from .errors import (GrazeDetected, InfiniteTimeToImpact, PreconditionError,
+                     ResetNotInSPlus)
 from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment
 
 _SAMPLES_PER_STEP = 12
+_SCAN_STEPS = np.arange(_SAMPLES_PER_STEP, dtype=float)
 _BISECT_REL_WIDTH = 1e-13
 _GRAZE_REL = 1e-8
 
@@ -58,6 +59,23 @@ def _record_eval(record, t: float) -> np.ndarray:
     return y_left + h * (Q @ powers)
 
 
+def _record_eval_many(record, ts: np.ndarray) -> np.ndarray:
+    """`_record_eval` of a batch of times as one dense product, one row per
+    time."""
+    t_left, h, y_left, _y_right, Q = record
+    th = (ts - t_left) / h
+    powers = np.array([th, th * th, th**3, th**4]).T
+    return y_left + h * (powers @ Q.T)
+
+
+def _scan_times(t_lo: float, t_hi: float) -> np.ndarray:
+    """np.linspace(t_lo, t_hi, _SAMPLES_PER_STEP), with the same arithmetic
+    but without its call overhead."""
+    ts = _SCAN_STEPS * ((t_hi - t_lo) / (_SAMPLES_PER_STEP - 1)) + t_lo
+    ts[-1] = t_hi
+    return ts
+
+
 def _refine_in_record(sys, ufn, record, ta: float, tb: float) -> tuple[float, np.ndarray, float, float]:
     """Bisect H to a relative width floor inside one dense record, then apply
     a single Newton polish with the flow derivative; returns
@@ -85,13 +103,18 @@ def _refine_in_record(sys, ufn, record, ta: float, tb: float) -> tuple[float, np
 
 def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, float, float] | None:
     """First downward sign change of H inside one step record after from_t."""
-    t_left, h, _y_left, _y_right, _Q = record
+    t_left, h, _y_left, y_right, _Q = record
     t_lo = max(t_left, from_t)
     t_hi = t_left + h
     if t_hi <= t_lo:
         return None
-    ts = np.linspace(t_lo, t_hi, _SAMPLES_PER_STEP)
-    hs = [sys.eval_h(_record_eval(record, t)) for t in ts]
+    ts = _scan_times(t_lo, t_hi)
+    xs = _record_eval_many(record, ts)
+    # the step's own end state, from which the next step starts: the dense
+    # value at t_hi can round to the other side of H = 0, and then neither
+    # step brackets a crossing that sits on the node
+    xs[-1] = y_right
+    hs = [sys.eval_h(x) for x in xs]
     dwell_floor = 1e-11 * max(1.0, abs(from_t))
     for i in range(len(ts) - 1):
         if hs[i] > 0.0 and hs[i + 1] <= 0.0:
@@ -120,31 +143,6 @@ def _endpoint_event(sys, ufn, t_end: float, x_end: np.ndarray):
     return None
 
 
-def locate_crossing(seg: FlowSegment, sys: HybridSystemDef, u: ContinuousSignal,
-                    from_t: float) -> ImpactEvent:
-    """First downward crossing of H strictly after from_t along a segment.
-
-    Raises NoCrossing if H keeps its sign, GrazeDetected on tangency.
-    """
-    if from_t < seg.t0 - 1e-12 or from_t > seg.t1 + 1e-12:
-        raise PreconditionError("from_t outside the segment span")
-    ufn = u.compile()
-    for i in range(len(seg.ts)):
-        record = (seg.ts[i], seg.hs[i], seg.ys[i], seg.ys[i + 1], seg.qs[i])
-        if seg.ts[i] + seg.hs[i] <= from_t:
-            continue
-        hit = _scan_record(sys, ufn, record, from_t)
-        if hit is not None:
-            t_hit, x, lfh, width = hit
-            if t_hit > seg.t1:
-                break
-            return ImpactEvent(t_hit=t_hit, x_minus=x, lfh=lfh, localization_width=width)
-    end = _endpoint_event(sys, ufn, seg.t1, seg.eval(seg.t1))
-    if end is not None and end.t_hit > from_t:
-        return end
-    raise NoCrossing(f"H does not cross zero downward in ({from_t:.6g}, {seg.t1:.6g}]")
-
-
 @dataclass(frozen=True)
 class CrossingSearch:
     """Outcome of event-driven integration up to a crossing or a time cap."""
@@ -165,7 +163,9 @@ def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     ufn = u.compile()
     while not stepper.done:
         record = stepper.step()
-        hit = _scan_record(sys, ufn, record, t0 if stepper.n_accepted == 1 else record[0])
+        # the dwell floor belongs to the start of the search, not to each
+        # step: a crossing just after a step's left edge is a real one
+        hit = _scan_record(sys, ufn, record, t0)
         if hit is not None:
             t_hit, x, lfh, width = hit
             event = ImpactEvent(t_hit=t_hit, x_minus=x, lfh=lfh, localization_width=width)
@@ -211,37 +211,27 @@ def check_reset_side(sys: HybridSystemDef, x_plus: np.ndarray) -> float:
 
 
 def time_to_impact(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
-                   v: np.ndarray, cfg: IntegratorConfig | None = None,
+                   v: np.ndarray | None = None, cfg: IntegratorConfig | None = None,
                    t_cap: float = 100.0) -> TimeToImpact:
-    """Duration until the reset-initialized flow next reaches the surface,
-    together with the pre-impact state there.
+    """Duration until the flow next reaches the surface, together with the
+    pre-impact state there.
 
-    x must lie on the surface; the reset Delta(x, v) is applied first and the
-    forced flow from it is followed until a downward crossing or t_cap.
+    With a discrete input v, x must lie on the surface and the reset
+    Delta(x, v) is applied first.  With v None, x must lie strictly above the
+    surface and the free flow starts from it unreset.  Either way the forced
+    flow is followed until a downward crossing or t_cap.
     """
     x = np.asarray(x, dtype=float)
-    if abs(sys.eval_h(x)) > surface_tol(x):
-        raise PreconditionError(f"state is not on the surface: H={sys.eval_h(x):.3g}")
-    cfg = cfg or IntegratorConfig()
-    x_plus = sys.eval_delta(x, np.asarray(v, dtype=float))
-    check_reset_side(sys, x_plus)
-    search = first_crossing(sys, x_plus, u, 0.0, t_cap, cfg)
-    if search.event is None:
-        return TimeToImpact(time=math.inf, state=None, segment=search.segment)
-    return TimeToImpact(time=search.event.t_hit, state=search.event.x_minus,
-                        segment=search.segment)
-
-
-def time_to_impact_from_splus(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
-                              cfg: IntegratorConfig | None = None,
-                              t_cap: float = 100.0) -> TimeToImpact:
-    """Time-to-impact for a free flow started strictly above the surface
-    (no reset applied); the returned state is the pre-impact limit."""
-    x = np.asarray(x, dtype=float)
-    if sys.eval_h(x) <= surface_tol(x):
-        raise PreconditionError("state must be strictly above the surface")
-    cfg = cfg or IntegratorConfig()
-    search = first_crossing(sys, x, u, 0.0, t_cap, cfg)
+    if v is None:
+        if sys.eval_h(x) <= surface_tol(x):
+            raise PreconditionError("state must be strictly above the surface")
+        x_start = x
+    else:
+        if abs(sys.eval_h(x)) > surface_tol(x):
+            raise PreconditionError(f"state is not on the surface: H={sys.eval_h(x):.3g}")
+        x_start = sys.eval_delta(x, np.asarray(v, dtype=float))
+        check_reset_side(sys, x_start)
+    search = first_crossing(sys, x_start, u, 0.0, t_cap, cfg or IntegratorConfig())
     if search.event is None:
         return TimeToImpact(time=math.inf, state=None, segment=search.segment)
     return TimeToImpact(time=search.event.t_hit, state=search.event.x_minus,

@@ -186,7 +186,7 @@ class Stepper:
             if self.n_accepted + self.n_rejected >= self.cfg.max_steps:
                 raise StepLimitExceeded(self.cfg.max_steps, self.t)
             h = min(self._h, self.cfg.max_step, self.t_end - self.t)
-            tiny = 10.0 * abs(np.nextafter(self.t, math.inf) - self.t)
+            tiny = 10.0 * abs(math.nextafter(self.t, math.inf) - self.t)
             if h < tiny:
                 h = tiny
             K = np.empty((7, self.y.size))
@@ -198,7 +198,8 @@ class Stepper:
             K[6] = self._rhs(self.t + h, y_new)
             self._nfev += 6
             scale = self.cfg.atol + self.cfg.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
-            err = np.linalg.norm((h * (_E @ K)) / scale) / n_sqrt
+            e = (h * (_E @ K)) / scale
+            err = math.sqrt(float(e @ e)) / n_sqrt
             if err <= 1.0:
                 t_left = self.t
                 Q = K.T @ _P
@@ -214,7 +215,7 @@ class Stepper:
                 self.h_max = max(self.h_max, h)
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXPONENT)
                 self._h = h * factor
-                if not np.all(np.abs(y_new) <= self.cfg.blowup):
+                if not (np.abs(y_new) <= self.cfg.blowup).all():
                     raise Blowup(self.t, float(np.max(np.abs(y_new))), self._partial_segment())
                 return record
             self.n_rejected += 1

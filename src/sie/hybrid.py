@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContinuousSignal, DiscreteSequence, HybridSystemDef
-from .errors import (Blowup, EvaluatorFailure, GrazeDetected, NoImpacts,
-                     PreconditionError, ResetNotInSPlus, SieError,
-                     StepLimitExceeded)
+from .errors import (Blowup, GrazeDetected, NoImpacts, PreconditionError,
+                     ResetNotInSPlus, SieError)
 from .events import check_reset_side, first_crossing, surface_tol
 from .flow import FlowSegment, IntegratorConfig
 
@@ -170,8 +169,6 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
         intervals = np.diff([imp.t for imp in impacts])
         if len(intervals) >= 3 and intervals[-1] < 1e3 * min_dwell:
             return _terminate("zeno-guard", str(exc))
-        return _terminate("error", str(exc))
-    except (EvaluatorFailure, StepLimitExceeded) as exc:
         return _terminate("error", str(exc))
     except SieError as exc:
         return _terminate("error", str(exc))

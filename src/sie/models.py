@@ -41,7 +41,6 @@ class ModelCatalogEntry:
     ranges: dict = field(default_factory=dict)
     oracle_factory: Callable[..., OraclePack | None] = lambda **_: None
     assumption_notes: str = ""
-    input_scale: float = 1.0
     stability_suite: bool = True
 
 

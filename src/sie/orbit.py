@@ -144,22 +144,25 @@ def build_orbit(sys: HybridSystemDef, report: StabilityReport,
         raise ClosureError("orbit has zero diameter")
     ds_max = ds_max_rel * diameter
 
-    taus = [0.0]
-    points = [seg.eval(0.0)]
-    stack = [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)][::-1]
-    while stack:
-        a, b = stack.pop()
-        ya = seg.eval(a)
-        yb = seg.eval(b)
-        if float(np.linalg.norm(yb - ya)) > ds_max and (b - a) > 1e-13 * report.t_star:
-            mid = 0.5 * (a + b)
-            stack.append((mid, b))
-            stack.append((a, mid))
-        else:
-            taus.append(b)
-            points.append(yb)
+    # split the step intervals one level at a time, every live interval in
+    # one batch; the leaves sorted by their right ends are the depth-first
+    # order of the recursive split
+    taus = [np.zeros(1)]
+    points = [seg.ys[:1]]
+    a, b = nodes[:-1], nodes[1:]
+    while len(a):
+        yb = seg.eval_many(b)
+        split = ((np.linalg.norm(yb - seg.eval_many(a), axis=1) > ds_max)
+                 & ((b - a) > 1e-13 * report.t_star))
+        taus.append(b[~split])
+        points.append(yb[~split])
+        a, b = a[split], b[split]
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    taus = np.concatenate(taus)
+    order = np.argsort(taus, kind="stable")
     return PeriodicOrbit(x_star=x_star, t_star=report.t_star, segment=seg,
-                         taus=np.asarray(taus), points=np.vstack(points),
+                         taus=taus[order], points=np.vstack(points)[order],
                          diameter=diameter, ds_max=ds_max)
 
 

@@ -245,6 +245,26 @@ class TestSweepCommand:
         assert main(["iss-sweep", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "cells.csv").read_bytes() == (out_b / "cells.csv").read_bytes()
 
+    def test_threads_value_does_not_change_cells(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "linear-reset", "params": {}},
+            "seed": 5,
+            "integrator": {"rtol": 1e-8, "atol": 1e-10},
+            "iss_sweep": {
+                "guess": [1.0, 0.5],
+                "offsets": [0.05],
+                "u_amps": [0.0, 0.05],
+                "v_amps": [0.0, 0.01],
+                "trials": 2,
+                "horizon_periods": 12.0,
+            },
+        })
+        outs = [tmp_path / "t1", tmp_path / "t2"]
+        for threads, out in zip(("1", "2"), outs):
+            assert main(["iss-sweep", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+        assert outs[0].joinpath("cells.csv").read_bytes() == outs[1].joinpath("cells.csv").read_bytes()
+
 
     def test_trials_plus_tallies_equal_configured_trials(self, tmp_path):
         # a horizon just past the transient cutoff leaves most trials with

@@ -5,8 +5,7 @@ import pytest
 
 from sie import _rng
 from sie.core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
-                      euclidean, point_set_distance, signal_sup_norm,
-                      validate_system)
+                      euclidean, point_set_distance, validate_system)
 from sie.errors import EvaluatorFailure, PreconditionError
 from sie import models
 
@@ -27,37 +26,37 @@ def test_uniform01_range():
 class TestSignals:
     def test_zero(self):
         u = ContinuousSignal.zero(2)
-        assert signal_sup_norm(u) == 0.0
+        assert u.sup_norm() == 0.0
         assert np.array_equal(u(3.7), np.zeros(2))
 
     def test_sinusoid_matches_forcing_template(self):
         # amplitude (5, 0) at angular frequency 4 has sup norm 5
         u = ContinuousSignal.sinusoid([5.0, 0.0], omega=4.0)
-        assert signal_sup_norm(u) == pytest.approx(5.0, abs=0.0)
+        assert u.sup_norm() == pytest.approx(5.0, abs=0.0)
         assert u(0.0)[0] == 0.0
         assert u(math.pi / 8.0)[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_constant_norm(self):
-        assert signal_sup_norm(ContinuousSignal.constant([3.0, 4.0])) == pytest.approx(5.0)
+        assert ContinuousSignal.constant([3.0, 4.0]).sup_norm() == pytest.approx(5.0)
 
     def test_tabulated_interpolates_linearly(self):
         u = ContinuousSignal.tabulated([0.0, 1.0, 2.0], [[0.0], [2.0], [0.0]])
         assert u(0.5)[0] == pytest.approx(1.0)
         assert u(1.5)[0] == pytest.approx(1.0)
         assert u(5.0)[0] == pytest.approx(0.0)  # held beyond the last sample
-        assert signal_sup_norm(u) == pytest.approx(2.0)
+        assert u.sup_norm() == pytest.approx(2.0)
 
     def test_composite_bound_is_sum(self):
         u = ContinuousSignal.composite([
             ContinuousSignal.constant([1.0]),
             ContinuousSignal.sinusoid([0.5], omega=2.0),
         ])
-        assert signal_sup_norm(u) == pytest.approx(1.5)
+        assert u.sup_norm() == pytest.approx(1.5)
         assert u(0.0)[0] == pytest.approx(1.0)
 
     def test_scaled_and_shifted(self):
         u = ContinuousSignal.sinusoid([2.0], omega=3.0).scaled(0.5)
-        assert signal_sup_norm(u) == pytest.approx(1.0)
+        assert u.sup_norm() == pytest.approx(1.0)
         shifted = u.shifted(1.25)
         assert shifted(0.5)[0] == pytest.approx(u(1.75)[0])
 
@@ -72,7 +71,7 @@ class TestSignals:
     def test_sampled_max_below_sup_norm(self, u):
         fn = u.compile()
         ts = np.linspace(0.0, 50.0, 100_000)
-        bound = signal_sup_norm(u)
+        bound = u.sup_norm()
         worst = max(euclidean(fn(t)) for t in ts[::97])  # coarse pre-check
         assert worst <= bound + 1e-9
         sampled = np.array([euclidean(fn(t)) for t in ts])

@@ -2,46 +2,52 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sie.core import ContinuousSignal, HybridSystemDef
-from sie.errors import (GrazeDetected, NoCrossing, PreconditionError,
-                        ResetNotInSPlus)
-from sie.events import (locate_crossing, time_to_impact,
-                        time_to_impact_from_splus)
-from sie.flow import IntegratorConfig, integrate
+from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
+from sie.errors import GrazeDetected, PreconditionError, ResetNotInSPlus
+from sie.events import (_SAMPLES_PER_STEP, _graze_tol, _record_eval,
+                        _record_eval_many, _refine_in_record, _scan_record,
+                        _scan_times, first_crossing, time_to_impact)
+from sie.flow import IntegratorConfig, Stepper, integrate
+from sie.hybrid import simulate
 from sie import models
 from tests.conftest import (RIMLESS_OMEGA_PLUS, RIMLESS_OMEGA_STAR,
                             RIMLESS_T_STAR, RIMLESS_THETA_IMPACT)
 
 U0 = ContinuousSignal.zero(1)
+CFG = IntegratorConfig()
 
 
 class TestLocateCrossing:
+    """Crossing location through first_crossing, which integrates and scans
+    step by step."""
+
     def test_linear_reset_crossing(self, linear_sys):
         # timer hits the surface at exactly t = 1 with x2 halved
         for x2 in (0.0, 0.3, -1.2):
-            seg = integrate(linear_sys, np.array([0.0, x2]), U0, (0.0, 1.5))
-            ev = locate_crossing(seg, linear_sys, U0, 0.0)
+            ev = first_crossing(linear_sys, np.array([0.0, x2]), U0, 0.0, 1.5, CFG).event
             assert ev.t_hit == pytest.approx(1.0, abs=1e-10)
             assert ev.x_minus[0] == pytest.approx(1.0, abs=1e-10)
             assert ev.x_minus[1] == pytest.approx(x2 * 0.5, abs=1e-9)
             assert ev.lfh == pytest.approx(-1.0, abs=1e-9)
 
     def test_no_crossing_when_h_keeps_sign(self, linear_sys):
-        seg = integrate(linear_sys, np.array([0.0, 0.0]), U0, (0.0, 0.5))
-        with pytest.raises(NoCrossing):
-            locate_crossing(seg, linear_sys, U0, 0.0)
+        search = first_crossing(linear_sys, np.array([0.0, 0.0]), U0, 0.0, 0.5, CFG)
+        assert search.event is None
+        assert search.segment.t1 == 0.5
 
     def test_from_t_skips_earlier_crossings(self, linear_sys):
-        # surface sits at x1 = 1; from_t past the hit leaves nothing to find
+        # surface sits at x1 = 1; starting past the hit leaves nothing to find
         seg = integrate(linear_sys, np.array([0.0, 0.1]), U0, (0.0, 1.2))
-        with pytest.raises(NoCrossing):
-            locate_crossing(seg, linear_sys, U0, 1.05)
+        search = first_crossing(linear_sys, seg.eval(1.05), U0, 1.05, 1.2, CFG)
+        assert search.event is None
+        assert search.segment.t0 == 1.05
 
     def test_rimless_energy_balance_at_crossing(self, rimless_sys):
         x0 = np.array([0.08 - math.pi / 8.0, RIMLESS_OMEGA_PLUS])
-        seg = integrate(rimless_sys, x0, U0, (0.0, 2.0))
-        ev = locate_crossing(seg, rimless_sys, U0, 0.0)
+        ev = first_crossing(rimless_sys, x0, U0, 0.0, 2.0, CFG).event
         omega_expect = math.sqrt(RIMLESS_OMEGA_PLUS ** 2
                                  + 2 * 9.81 * (math.cos(0.08 - math.pi / 8)
                                                - math.cos(0.08 + math.pi / 8)))
@@ -54,9 +60,7 @@ class TestLocateCrossing:
         sys = HybridSystemDef(n=1, p=1, q=1,
                               f=lambda x, u: np.array([1.0]),
                               delta=lambda x, v: x, h=lambda x: float(x[0]))
-        seg = integrate(sys, np.array([-0.5]), U0, (0.0, 1.0))
-        with pytest.raises(NoCrossing):
-            locate_crossing(seg, sys, U0, 0.0)
+        assert first_crossing(sys, np.array([-0.5]), U0, 0.0, 1.0, CFG).event is None
 
     def test_graze_detected_on_tangential_contact(self):
         # H = x2 + k (x1 - 1)^2 dips to -2e-12 at x1 = 1: slope at the root
@@ -67,18 +71,134 @@ class TestLocateCrossing:
                               f=lambda x, u: np.array([1.0, 0.0]),
                               delta=lambda x, v: x,
                               h=lambda x: float(x[1] + k * (x[0] - 1.0) ** 2))
-        seg = integrate(sys, np.array([0.0, -2e-12]), U0, (0.0, 2.0),
-                        IntegratorConfig(max_step=0.005))
         with pytest.raises(GrazeDetected):
-            locate_crossing(seg, sys, U0, 0.0)
+            first_crossing(sys, np.array([0.0, -2e-12]), U0, 0.0, 2.0,
+                           IntegratorConfig(max_step=0.005))
 
     def test_single_crossing_h_positive_before_hit(self, rimless_sys):
         x0 = np.array([0.08 - math.pi / 8.0, RIMLESS_OMEGA_PLUS])
-        seg = integrate(rimless_sys, x0, U0, (0.0, 2.0))
-        ev = locate_crossing(seg, rimless_sys, U0, 0.0)
+        search = first_crossing(rimless_sys, x0, U0, 0.0, 2.0, CFG)
+        ev = search.event
         grace = max(ev.localization_width, 1e-9)
         for t in np.linspace(grace, ev.t_hit - grace, 100):
-            assert rimless_sys.eval_h(seg.eval(float(t))) > 0.0
+            assert rimless_sys.eval_h(search.segment.eval(float(t))) > 0.0
+
+
+def _per_sample_scan(sys, ufn, record, from_t):
+    """Reference scan: np.linspace sample times and one `_record_eval` per
+    sample.  Returns (times, states, H values, hit)."""
+    t_left, h = record[0], record[1]
+    ts = np.linspace(max(t_left, from_t), t_left + h, _SAMPLES_PER_STEP)
+    xs = np.array([_record_eval(record, t) for t in ts])
+    hs = [sys.eval_h(x) for x in xs]
+    dwell_floor = 1e-11 * max(1.0, abs(from_t))
+    for i in range(len(ts) - 1):
+        if hs[i] > 0.0 and hs[i + 1] <= 0.0:
+            t_hit, x, lfh, width = _refine_in_record(sys, ufn, record, ts[i], ts[i + 1])
+            if t_hit <= from_t + dwell_floor:
+                continue
+            if abs(lfh) < _graze_tol(sys, x, ufn(t_hit)):
+                raise GrazeDetected(t_hit, lfh)
+            if lfh >= 0.0:
+                continue
+            return ts, xs, hs, (t_hit, x, lfh, width)
+    return ts, xs, hs, None
+
+
+SCAN_CASES = {
+    "linear-reset": (models.model("linear-reset"), [0.0, 0.3], 1.5),
+    "rimless-wheel": (models.model("rimless-wheel"),
+                      [0.08 - math.pi / 8.0, RIMLESS_OMEGA_PLUS], 2.0),
+    "vdp-adapter": (models.model("vdp-adapter", mu=0.2), [2.0, 0.05], 10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_batched_scan_matches_per_sample_scan(name):
+    sys, x0, t_end = SCAN_CASES[name]
+    stepper = Stepper(sys, np.array(x0), U0, 0.0, t_end, CFG)
+    ufn = U0.compile()
+    hits = 0
+    while not stepper.done:
+        record = stepper.step()
+        t_left, h = record[0], record[1]
+        # from_t at the step's left edge, and inside the step as on a first
+        # step that starts after t_left
+        for from_t in (t_left, t_left + 0.3 * h):
+            ts_ref, xs_ref, hs_ref, hit_ref = _per_sample_scan(sys, ufn, record, from_t)
+            ts = _scan_times(max(t_left, from_t), t_left + h)
+            xs = _record_eval_many(record, ts)
+            assert np.array_equal(ts, ts_ref)
+            scale = max(1.0, float(np.max(np.abs(xs_ref))))
+            assert np.max(np.abs(xs - xs_ref)) <= 1e-15 * scale
+            # the scan's last sample is the step's end state, which the dense
+            # value at the step end matches only to rounding of its 7-stage sum
+            xs[-1] = record[3]
+            assert np.max(np.abs(xs[-1] - xs_ref[-1])) <= 1e-14 * scale
+            signs = [sys.eval_h(x) > 0.0 for x in xs]
+            assert signs == [hv > 0.0 for hv in hs_ref]
+            hit = _scan_record(sys, ufn, record, from_t)
+            assert (hit is None) == (hit_ref is None)
+            if hit is not None:
+                hits += 1
+                assert hit[0] == hit_ref[0] and hit[2:] == hit_ref[2:]
+                assert np.array_equal(hit[1], hit_ref[1])
+    assert hits > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_lo=st.floats(-1e6, 1e6), span=st.floats(1e-12, 1e4))
+def test_scan_times_equal_linspace(t_lo, span):
+    t_hi = t_lo + span
+    if t_hi > t_lo:
+        assert np.array_equal(_scan_times(t_lo, t_hi),
+                              np.linspace(t_lo, t_hi, _SAMPLES_PER_STEP))
+
+
+class TestCrossingProperties:
+    """Properties of crossing detection on systems with known crossings."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(0.05, 20.0), x1_0=st.floats(-3.0, 0.99), t0=st.floats(0.0, 50.0),
+           step_frac=st.floats(0.05, 1.0))
+    # regressions: a crossing on a step node, where the dense value at the
+    # step end and the node state fell on opposite sides of H = 0; and a
+    # crossing within 1e-11 after a node, taken for the start of the search
+    @example(c=9.0, x1_0=0.9375, t0=8.0, step_frac=0.5)
+    @example(c=2.0, x1_0=0.8607137424475841, t0=0.0, step_frac=0.0625)
+    def test_timer_crossing_time(self, c, x1_0, t0, step_frac):
+        # x1' = c, H = 1 - x1: the surface is reached (1 - x1(t0)) / c later;
+        # the step cap moves the crossing around inside its step
+        sys = HybridSystemDef(n=1, p=1, q=1, f=lambda x, u: np.array([c]),
+                              delta=lambda x, v: x, h=lambda x: float(1.0 - x[0]))
+        t_exact = (1.0 - x1_0) / c
+        cfg = IntegratorConfig(max_step=step_frac * t_exact)
+        ev = first_crossing(sys, np.array([x1_0]), U0, t0, t0 + 2.0 * t_exact + 1.0, cfg).event
+        assert ev.t_hit - t0 == pytest.approx(t_exact, abs=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(centre=st.floats(0.3, 1.0), depth=st.floats(0.05, 0.1))
+    def test_dip_inside_one_step_reports_first_crossing(self, centre, depth):
+        # x' = 1, H = (x - centre)^2 - depth^2: H crosses down at centre -
+        # depth and back up at centre + depth
+        sys = HybridSystemDef(n=1, p=1, q=1, f=lambda x, u: np.array([1.0]),
+                              delta=lambda x, v: x,
+                              h=lambda x: float((x[0] - centre) ** 2 - depth ** 2))
+        search = first_crossing(sys, np.array([0.0]), U0, 0.0, 3.0, CFG)
+        seg = search.segment
+        # both crossings sit inside the last accepted step
+        assert seg.ts[-1] < centre - depth and seg.ts[-1] + seg.hs[-1] > centre + depth
+        assert search.event.t_hit == pytest.approx(centre - depth, abs=1e-10)
+
+    @settings(max_examples=8, deadline=None)
+    @given(max_step=st.floats(0.02, 0.4), d_omega=st.floats(-0.05, 0.05))
+    def test_halving_max_step_keeps_rimless_impacts(self, rimless_sys, max_step, d_omega):
+        x0 = np.array([0.08 - math.pi / 8.0, RIMLESS_OMEGA_PLUS + d_omega])
+        v0 = DiscreteSequence.zero(1)
+        full = simulate(rimless_sys, x0, U0, v0, 5.0, cfg=IntegratorConfig(max_step=max_step))
+        half = simulate(rimless_sys, x0, U0, v0, 5.0, cfg=IntegratorConfig(max_step=max_step / 2))
+        assert len(full.impacts) == len(half.impacts) > 0
+        assert np.max(np.abs(full.impact_times() - half.impact_times())) < 1e-8
 
 
 class TestTimeToImpact:
@@ -127,20 +247,23 @@ class TestTimeToImpact:
 
 
 class TestTimeToImpactFromSplus:
+    """time_to_impact without a discrete input: the free flow from a state
+    strictly above the surface, no reset applied."""
+
     def test_timer_closed_form(self, linear_sys):
-        out = time_to_impact_from_splus(linear_sys, np.array([0.25, 0.0]), U0, t_cap=5.0)
+        out = time_to_impact(linear_sys, np.array([0.25, 0.0]), U0, t_cap=5.0)
         assert out.time == pytest.approx(0.75, abs=1e-10)
         assert np.allclose(out.state, [1.0, 0.0], atol=1e-9)
 
     def test_on_surface_start_rejected(self, linear_sys):
         with pytest.raises(PreconditionError):
-            time_to_impact_from_splus(linear_sys, np.array([1.0, 0.0]), U0)
+            time_to_impact(linear_sys, np.array([1.0, 0.0]), U0)
 
     def test_vdp_cycle_returns_within_a_period(self):
         sysd = models.model("vdp-adapter", mu=0.2)
         # just past the section: x2 slightly negative is below the surface,
         # so start slightly above it instead (x2 > 0, on the cycle's way down)
-        out = time_to_impact_from_splus(sysd, np.array([2.0, 0.05]), U0, t_cap=20.0)
+        out = time_to_impact(sysd, np.array([2.0, 0.05]), U0, t_cap=20.0)
         assert out.finite
         assert 0.0 < out.time < 2.0 * math.pi * (1 + 0.2 ** 2 / 16) * 1.05
         assert sysd.lie_h(out.state, np.zeros(1)) < 0.0

@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sie import models
 from sie.errors import ClosureError
 from sie.iss import _orbital_deviation
 from sie.orbit import (build_orbit, certify_prop1, dist_to_orbit,
                        nearest_chords, refine_distance)
+from sie.poincare import find_fixed_point
 from tests.conftest import RIMLESS_OMEGA_PLUS
 
 
@@ -43,6 +45,44 @@ class TestBuildOrbit:
         assert linear_orbit.tau_backward(0.0) == linear_orbit.t_star
         tau = 0.25 * linear_orbit.t_star
         assert linear_orbit.tau_backward(linear_orbit.tau_backward(tau)) == pytest.approx(tau)
+
+
+def _depth_first_refine(seg, nodes, ds_max, t_star):
+    """Reference refinement: split intervals recursively, depth first, with
+    one scalar `FlowSegment.eval` per interval end."""
+    taus = [0.0]
+    points = [seg.eval(0.0)]
+    stack = [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)][::-1]
+    while stack:
+        a, b = stack.pop()
+        ya = seg.eval(a)
+        yb = seg.eval(b)
+        if float(np.linalg.norm(yb - ya)) > ds_max and (b - a) > 1e-13 * t_star:
+            mid = 0.5 * (a + b)
+            stack.append((mid, b))
+            stack.append((a, mid))
+        else:
+            taus.append(b)
+            points.append(yb)
+    return np.asarray(taus), np.vstack(points)
+
+
+@pytest.fixture(scope="module")
+def vdp_orbit():
+    sysd = models.model("vdp-adapter", mu=0.2)
+    return build_orbit(sysd, find_fixed_point(sysd, np.array([2.0, 0.0]), t_cap=20.0))
+
+
+@pytest.mark.parametrize("orbit_fixture", ["linear_orbit", "rimless_orbit", "vdp_orbit"])
+def test_level_wise_refinement_matches_depth_first(orbit_fixture, request):
+    orb = request.getfixturevalue(orbit_fixture)
+    seg = orb.segment
+    nodes = np.concatenate([seg.ts, [orb.t_star]])
+    taus, points = _depth_first_refine(seg, nodes, orb.ds_max, orb.t_star)
+    assert len(taus) > len(nodes)
+    assert np.array_equal(orb.taus, taus)
+    scale = max(1.0, float(np.max(np.abs(points))))
+    assert np.max(np.abs(orb.points - points)) <= 1e-15 * scale
 
 
 class TestDistToOrbit:
