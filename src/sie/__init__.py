@@ -3,12 +3,11 @@ impulse effects: event-driven integration, section-return maps, hybrid
 periodic orbits and input-to-state stability sweeps."""
 
 from .core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
-                   ValidationReport, euclidean, point_set_distance,
-                   validate_system)
+                   ValidationReport, euclidean, validate_system)
 from .errors import SieError
 from .events import ImpactEvent, TimeToImpact, time_to_impact
-from .flow import FlowSegment, IntegratorConfig, flow_sensitivity, integrate
-from .hybrid import GuardConfig, HybridTrajectory, Impact, poincare_sequence, simulate
+from .flow import FlowSegment, IntegratorConfig, integrate
+from .hybrid import GuardConfig, HybridTrajectory, Impact, simulate
 from .iss import (DecayFit, EquivalenceVerdict, GainFit, IssSweepReport,
                   SweepConfig, check_equivalence, fit_decay, fit_gain,
                   run_sweep)
@@ -20,11 +19,11 @@ from .poincare import (StabilityReport, SurfaceChart, find_fixed_point,
 
 __all__ = [
     "ContinuousSignal", "DiscreteSequence", "HybridSystemDef",
-    "ValidationReport", "euclidean", "point_set_distance", "validate_system",
+    "ValidationReport", "euclidean", "validate_system",
     "SieError", "ImpactEvent", "TimeToImpact", "time_to_impact",
-    "FlowSegment", "IntegratorConfig", "flow_sensitivity", "integrate",
-    "GuardConfig", "HybridTrajectory", "Impact", "poincare_sequence",
-    "simulate", "DecayFit", "EquivalenceVerdict", "GainFit", "IssSweepReport",
+    "FlowSegment", "IntegratorConfig", "integrate",
+    "GuardConfig", "HybridTrajectory", "Impact", "simulate",
+    "DecayFit", "EquivalenceVerdict", "GainFit", "IssSweepReport",
     "SweepConfig", "check_equivalence", "fit_decay", "fit_gain", "run_sweep", "catalog",
     "model", "oracle", "registration_checks", "PeriodicOrbit", "Prop1Report",
     "build_orbit", "certify_prop1", "dist_to_orbit", "StabilityReport",

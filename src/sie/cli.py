@@ -16,7 +16,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -117,11 +116,11 @@ def _integrator_from_config(cfg: dict) -> IntegratorConfig:
     )
 
 
-def _guards_from_config(cfg: dict, t_star: float | None = None) -> GuardConfig:
+def _guards_from_config(cfg: dict) -> GuardConfig:
     block = cfg.get("guards", {})
     _require_keys(block, {"k_max", "min_dwell"}, set(), "guards")
     return GuardConfig(k_max=int(block.get("k_max", 10_000)),
-                       min_dwell=block.get("min_dwell"), t_star=t_star)
+                       min_dwell=block.get("min_dwell"))
 
 
 _TOP_KEYS = {"model", "seed", "integrator", "guards",
@@ -246,17 +245,12 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     return _EXIT_CONFIG
 
 
-def _orbit_block(cfg: dict) -> dict:
+def _cmd_orbit(cfg: dict, out: Path) -> int:
+    sysdef = _build_model(cfg)
     block = cfg.get("orbit")
     if block is None:
         raise ConfigError("config needs an 'orbit' block")
     _require_keys(block, {"guess", "t_cap"}, {"guess"}, "orbit")
-    return block
-
-
-def _cmd_orbit(cfg: dict, out: Path) -> int:
-    sysdef = _build_model(cfg)
-    block = _orbit_block(cfg)
     icfg = _integrator_from_config(cfg)
     t_cap = float(block.get("t_cap", 100.0))
     try:
@@ -319,6 +313,7 @@ def _cmd_certify_prop1(cfg: dict, out: Path) -> int:
         "n_samples": p1.n_samples,
         "radii": list(p1.radii),
         "per_radius_ratio_min": list(p1.per_radius_ratio_min),
+        "excluded": p1.excluded,
         "seed": p1.seed,
     })
     print(f"ratio_min={_fmt(p1.ratio_min)} violations={p1.violations}")
@@ -439,15 +434,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for sweeps (SIE_THREADS as fallback); "
-                             "results are schedule-independent")
-    args = parser.parse_args(argv)
+                        help="worker count for sweeps; results are schedule-independent")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the guard-termination
+        # code here; --help exits 0
+        return _EXIT_CONFIG if exc.code else _EXIT_OK
 
-    # --threads / SIE_THREADS bound a worker pool; execution currently runs
-    # the cells sequentially with per-trial seeding, so results never depend
-    # on the setting
-    threads = args.threads if args.threads is not None else os.environ.get("SIE_THREADS")
-    if threads is not None and int(threads) < 1:
+    # the cells run sequentially with per-trial seeding, so results never
+    # depend on --threads; only its range is checked
+    if args.threads is not None and args.threads < 1:
         print("config error: --threads must be at least 1", file=_sys.stderr)
         return _EXIT_CONFIG
 

@@ -1,6 +1,7 @@
 """Domain types shared by every module: the system triple (f, delta, H),
-continuous and discrete input signals with sup-norm queries, and point-to-set
-distance helpers.
+continuous and discrete input signals with sup-norm queries, and the
+central-difference derivative shared by the gradient and Jacobian
+estimates.
 
 All types are immutable after construction and safe to share between threads.
 The Euclidean norm is used throughout; per-space norms are never mixed.
@@ -22,15 +23,20 @@ def euclidean(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
-def point_set_distance(x: np.ndarray, samples: np.ndarray) -> float:
-    """min over rows y of samples of ||x - y||.
-
-    An upper bound on the distance to any set the rows are drawn from, and
-    1-Lipschitz in x for a fixed sample matrix.
-    """
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    d = pts - np.asarray(x, dtype=float)[None, :]
-    return float(np.sqrt(np.min(np.einsum("ij,ij->i", d, d))))
+def central_difference(fn: Callable[[np.ndarray], object], x: np.ndarray,
+                       rel_step: float) -> np.ndarray:
+    """Column i is (fn(x + s e_i) - fn(x - s e_i)) / (2 s), s = rel_step *
+    max(1, |x_i|); shape (n,) for a scalar fn, (m, n) for a vector fn."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        step = rel_step * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        cols.append((fn(xp) - fn(xm)) / (2.0 * step))
+    return np.array(cols, dtype=float).T if cols else np.empty((0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +111,7 @@ class HybridSystemDef:
         return self._fd_gradient(x)
 
     def _fd_gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = np.empty(self.n)
-        for i in range(self.n):
-            step = 1e-6 * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            g[i] = (self.eval_h(xp) - self.eval_h(xm)) / (2.0 * step)
-        return g
+        return central_difference(self.eval_h, x, 1e-6)
 
     def lie_h(self, x: np.ndarray, u_value: np.ndarray) -> float:
         """Directional derivative of H along the flow: grad H(x) . f(x, u)."""
@@ -186,9 +183,6 @@ class ContinuousSignal:
 
     def shifted(self, dt: float) -> "ContinuousSignal":
         return replace(self, t_shift=self.t_shift + float(dt))
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.compile()(t)
 
     def compile(self) -> Callable[[float], np.ndarray]:
         """A plain closure evaluating the signal; used in integrator hot loops."""

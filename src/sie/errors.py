@@ -95,10 +95,6 @@ class FitDegenerate(SieError):
     re-run with a larger initial offset."""
 
 
-class NoImpacts(SieError):
-    """The trajectory contains no surface crossings."""
-
-
 class UnknownModel(SieError):
     pass
 

@@ -102,17 +102,14 @@ def _refine_in_record(sys, ufn, record, ta: float, tb: float) -> tuple[float, np
 
 
 def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, float, float] | None:
-    """First downward sign change of H inside one step record after from_t."""
+    """First downward sign change of H inside one step record; a hit within
+    the dwell floor of from_t, the start of the search, is skipped."""
     t_left, h, _y_left, y_right, _Q = record
-    t_lo = max(t_left, from_t)
-    t_hi = t_left + h
-    if t_hi <= t_lo:
-        return None
-    ts = _scan_times(t_lo, t_hi)
+    ts = _scan_times(t_left, t_left + h)
     xs = _record_eval_many(record, ts)
     # the step's own end state, from which the next step starts: the dense
-    # value at t_hi can round to the other side of H = 0, and then neither
-    # step brackets a crossing that sits on the node
+    # value at the step end can round to the other side of H = 0, and then
+    # neither step brackets a crossing that sits on the node
     xs[-1] = y_right
     hs = [sys.eval_h(x) for x in xs]
     dwell_floor = 1e-11 * max(1.0, abs(from_t))

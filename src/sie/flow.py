@@ -10,7 +10,7 @@ the solver integrates the frozen-signal vector field (t, x) -> f(x, u(t)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 _P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -61,9 +60,7 @@ class IntegratorConfig:
             raise PreconditionError("max_step must be positive")
 
     def tightened(self, rtol: float, atol: float) -> "IntegratorConfig":
-        return IntegratorConfig(rtol=min(self.rtol, rtol), atol=min(self.atol, atol),
-                                max_step=self.max_step, max_steps=self.max_steps,
-                                blowup=self.blowup)
+        return replace(self, rtol=min(self.rtol, rtol), atol=min(self.atol, atol))
 
 
 @dataclass(frozen=True)
@@ -171,11 +168,9 @@ class Stepper:
         return min(100 * h0, h1, self.t_end - self.t, self.cfg.max_step)
 
     def _partial_segment(self) -> FlowSegment:
-        return _build_segment(self.records, self.t0_of_records(), self.t,
+        t0 = self.records[0][0] if self.records else self.t
+        return _build_segment(self.records, t0, self.t,
                               self.n_accepted, self.n_rejected, self.h_min, self.h_max)
-
-    def t0_of_records(self) -> float:
-        return self.records[0][0] if self.records else self.t
 
     def step(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
         """Advance one accepted step; returns (t_left, h, y_left, y_right, Q)."""
@@ -252,43 +247,3 @@ def integrate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
         stepper.step()
     return _build_segment(stepper.records, t0, t1, stepper.n_accepted,
                           stepper.n_rejected, stepper.h_min, stepper.h_max)
-
-
-@dataclass(frozen=True)
-class Sensitivity:
-    derivative: np.ndarray
-    richardson_error: float
-
-
-def flow_sensitivity(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
-                     T: float, cfg: IntegratorConfig | None = None,
-                     direction: np.ndarray | None = None) -> Sensitivity:
-    """Central-difference directional derivative of x -> flow(T, x, u).
-
-    Uses step h = eps^(1/3) * max(1, ||x0||) and attaches a Richardson
-    step-pair consistency estimate from the half-step evaluation.  For T = 0
-    the flow is the identity and the direction is returned exactly.
-    """
-    if direction is None:
-        raise PreconditionError("direction is required")
-    d = np.asarray(direction, dtype=float)
-    nd = float(np.linalg.norm(d))
-    if not math.isclose(nd, 1.0, rel_tol=1e-9):
-        raise PreconditionError("direction must be a unit vector")
-    x0 = np.asarray(x0, dtype=float)
-    if T == 0.0:
-        return Sensitivity(derivative=d.copy(), richardson_error=0.0)
-    cfg = cfg or IntegratorConfig()
-    h = float(np.finfo(float).eps ** (1.0 / 3.0)) * max(1.0, float(np.linalg.norm(x0)))
-
-    def probe(step: float) -> np.ndarray:
-        fp = integrate(sys, x0 + step * d, u, (0.0, T), cfg).ys[-1]
-        fm = integrate(sys, x0 - step * d, u, (0.0, T), cfg).ys[-1]
-        return (fp - fm) / (2.0 * step)
-
-    d_h = probe(h)
-    d_h2 = probe(h / 2.0)
-    # central differences are O(h^2): the pair difference estimates the
-    # remaining error of the half-step value up to a factor 3
-    rich = float(np.linalg.norm(d_h - d_h2)) / 3.0
-    return Sensitivity(derivative=d_h2, richardson_error=rich)

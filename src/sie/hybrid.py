@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContinuousSignal, DiscreteSequence, HybridSystemDef
-from .errors import (Blowup, GrazeDetected, NoImpacts, PreconditionError,
-                     ResetNotInSPlus, SieError)
+from .errors import (Blowup, GrazeDetected, PreconditionError, ResetNotInSPlus,
+                     SieError)
 from .events import check_reset_side, first_crossing, surface_tol
 from .flow import FlowSegment, IntegratorConfig
 
@@ -76,17 +76,8 @@ class HybridTrajectory:
             out[rows] = seg.eval_many(np.minimum(ts[rows], seg.t1))
         return out
 
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.impacts and (not self.segments or self.impacts[-1].t >= self.segments[-1].t1):
-            return self.impacts[-1].x_plus
-        return self.segments[-1].ys[-1]
-
     def impact_times(self) -> np.ndarray:
         return np.array([imp.t for imp in self.impacts])
-
-    def impact_intervals(self) -> np.ndarray:
-        return np.diff(self.impact_times())
 
 
 def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
@@ -172,11 +163,3 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
         return _terminate("error", str(exc))
     except SieError as exc:
         return _terminate("error", str(exc))
-
-
-def poincare_sequence(traj: HybridTrajectory) -> list[tuple[int, np.ndarray]]:
-    """The discrete iterates (k, x_k): pre-impact states, i.e. the left
-    limits the right-continuous solution never attains."""
-    if not traj.impacts:
-        raise NoImpacts("trajectory has no impacts")
-    return [(imp.k, imp.x_minus) for imp in traj.impacts]

@@ -25,6 +25,8 @@ from .orbit import PeriodicOrbit, nearest_chords, refine_distance
 from .poincare import StabilityReport
 
 _ZERO_FLOOR = 1e-6
+_FIT_FLOOR = 1e-9  # decay-fit points at or below this are integration noise
+_N_BOOT = 300
 _REFINE_BELOW = 5e-2  # refine the polyline distance once deviations are small
 
 
@@ -173,15 +175,13 @@ def _trial_inputs(sys: HybridSystemDef, sweep: SweepConfig, u_amp: float,
 
 
 def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityReport,
-              sweep: SweepConfig, cfg: IntegratorConfig | None = None,
-              keep_series: str = "zero") -> IssSweepReport:
+              sweep: SweepConfig, cfg: IntegratorConfig | None = None) -> IssSweepReport:
     """Simulate every cell of the sweep grid and summarize deviations.
 
     Guard terminations are tallied per cell, never aborting the sweep.  The
     per-trial RNG is derived from (seed, cell, trial) so results do not
-    depend on execution order.  keep_series: 'zero' keeps raw deviation
-    series only for zero-input cells (enough for decay fits), 'all' for
-    every cell, 'none' for none.
+    depend on execution order.  Raw deviation series are kept only for
+    zero-input cells, which is what the decay fits need.
     """
     cfg = cfg or IntegratorConfig()
     x_star = report.x_star
@@ -197,7 +197,7 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
         tallies = {"zeno-guard": 0, "beating-guard": 0, "escape": 0, "error": 0,
                    "no-post-transient": 0}
         series: list[TrialSeries] = []
-        keep = keep_series == "all" or (keep_series == "zero" and u_amp == 0.0 and v_amp == 0.0)
+        keep = u_amp == 0.0 and v_amp == 0.0
         for trial in range(sweep.trials):
             tseed = _rng.derive_seed(sweep.seed, cell_index, trial)
             rng = np.random.default_rng(tseed)
@@ -274,7 +274,7 @@ def _fit_loglinear(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]
     return slope, intercept, resid
 
 
-def fit_decay(runs: list[TrialSeries], floor: float = 1e-9) -> DecayFit:
+def fit_decay(runs: list[TrialSeries]) -> DecayFit:
     """Least-squares exponential fits on zero-input runs, orbital and
     discrete, after clipping points at or below the numerical floor.
 
@@ -286,7 +286,7 @@ def fit_decay(runs: list[TrialSeries], floor: float = 1e-9) -> DecayFit:
     def _usable(series: np.ndarray) -> np.ndarray:
         # trim both the hard floor and the flattened tail where the decay
         # has bottomed out on integration noise, which would bias the slope
-        floor_eff = max(floor, 5.0 * float(np.min(series)))
+        floor_eff = max(_FIT_FLOOR, 5.0 * float(np.min(series)))
         keep = series > floor_eff
         past_min = np.zeros_like(keep)
         past_min[int(np.argmin(series)):] = True
@@ -396,18 +396,17 @@ class EquivalenceVerdict:
         return self.monotone_ok and self.factor_ok and self.zero_floor_ok
 
 
-def _bootstrap_median_diff(low: np.ndarray, high: np.ndarray, seed: int,
-                           n_boot: int = 300) -> float:
+def _bootstrap_median_diff(low: np.ndarray, high: np.ndarray, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    diffs = np.empty(n_boot)
-    for b in range(n_boot):
+    diffs = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         lo = rng.choice(low, size=len(low), replace=True)
         hi = rng.choice(high, size=len(high), replace=True)
         diffs[b] = np.median(hi) - np.median(lo)
     return float(np.quantile(diffs, 0.05))
 
 
-def check_equivalence(report: IssSweepReport, floor: float = _ZERO_FLOOR,
+def check_equivalence(report: IssSweepReport,
                       factor_limit: float = 10.0) -> EquivalenceVerdict:
     """Three clauses on a completed sweep:
 
@@ -415,7 +414,7 @@ def check_equivalence(report: IssSweepReport, floor: float = _ZERO_FLOOR,
         input-amplitude axis, judged by bootstrap medians over trials;
     (b) orbital and discrete ultimate bounds agree within a multiplicative
         factor cell-wise (reported, compared against factor_limit);
-    (c) zero-input cells sit at the numerical floor.
+    (c) zero-input cells sit at or below the numerical floor _ZERO_FLOOR.
     """
     cells = {(c.offset, c.u_amp, c.v_amp): c for c in report.cells}
     pair_checks: list[PairCheck] = []
@@ -444,7 +443,7 @@ def check_equivalence(report: IssSweepReport, floor: float = _ZERO_FLOOR,
                 m_hi = float(np.median(hi_vals))
                 ci = _bootstrap_median_diff(lo_vals, hi_vals,
                                             _rng.derive_seed(report.seed, i, len(pair_checks)))
-                ok = (m_hi >= m_lo) or (ci >= -(floor + 1e-12))
+                ok = (m_hi >= m_lo) or (ci >= -(_ZERO_FLOOR + 1e-12))
                 monotone_ok = monotone_ok and ok
                 pair_checks.append(PairCheck(lower=key_lo, upper=key_hi, statistic=stat,
                                              median_low=m_lo, median_high=m_hi,
@@ -454,13 +453,14 @@ def check_equivalence(report: IssSweepReport, floor: float = _ZERO_FLOOR,
     zero_ok = True
     for key, c in cells.items():
         if c.u_amp == 0.0 and c.v_amp == 0.0:
-            zero_ok = zero_ok and c.ultimate_orbital <= floor and c.ultimate_discrete <= floor
+            zero_ok = (zero_ok and c.ultimate_orbital <= _ZERO_FLOOR
+                       and c.ultimate_discrete <= _ZERO_FLOOR)
             continue
         if math.isnan(c.ultimate_orbital) or math.isnan(c.ultimate_discrete):
             continue
-        if c.ultimate_orbital <= floor and c.ultimate_discrete <= floor:
+        if c.ultimate_orbital <= _ZERO_FLOOR and c.ultimate_discrete <= _ZERO_FLOOR:
             continue
-        lo = max(min(c.ultimate_orbital, c.ultimate_discrete), floor * 1e-3)
+        lo = max(min(c.ultimate_orbital, c.ultimate_discrete), _ZERO_FLOOR * 1e-3)
         f = max(c.ultimate_orbital, c.ultimate_discrete) / lo
         factor = max(factor, f)
         factor_by_cell.append((key, f))
@@ -471,5 +471,5 @@ def check_equivalence(report: IssSweepReport, floor: float = _ZERO_FLOOR,
         factor=factor,
         factor_by_cell=tuple(factor_by_cell),
         pair_checks=tuple(pair_checks),
-        floor=floor,
+        floor=_ZERO_FLOOR,
     )

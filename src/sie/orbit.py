@@ -55,18 +55,11 @@ class PeriodicOrbit:
     def eval_many(self, taus: np.ndarray) -> np.ndarray:
         return self.segment.eval_many(np.clip(taus, 0.0, self.t_star))
 
-    def tau_backward(self, tau: float) -> float:
-        """The reversed indexing that starts at the fixed point."""
-        return self.t_star - tau
-
     # -- polyline machinery -------------------------------------------------
 
     def coarse_distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from x to every chord of the sample polyline."""
         return np.sqrt(_chord_sq_distances(self.points, np.asarray(x, dtype=float)[None, :])[0])
-
-    def coarse_distance(self, x: np.ndarray) -> float:
-        return float(np.min(self.coarse_distances(x)))
 
 
 def _chord_sq_distances(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -113,10 +106,10 @@ def nearest_chords(points: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def build_orbit(sys: HybridSystemDef, report: StabilityReport,
-                cfg: IntegratorConfig | None = None,
-                ds_max_rel: float = _DS_MAX_REL) -> PeriodicOrbit:
+                cfg: IntegratorConfig | None = None) -> PeriodicOrbit:
     """Integrate the zero-input flow from the reset image over one period and
-    refine samples until consecutive points are closer than ds_max.
+    refine samples until consecutive points are closer than ds_max, which is
+    _DS_MAX_REL times the orbit diameter.
 
     Raises ClosureError when the flow fails to return to the fixed point,
     which indicates a stale or unconverged report.
@@ -142,7 +135,7 @@ def build_orbit(sys: HybridSystemDef, report: StabilityReport,
     diameter = float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
     if diameter <= 0.0:
         raise ClosureError("orbit has zero diameter")
-    ds_max = ds_max_rel * diameter
+    ds_max = _DS_MAX_REL * diameter
 
     # split the step intervals one level at a time, every live interval in
     # one batch; the leaves sorted by their right ends are the depth-first
@@ -302,7 +295,8 @@ class Prop1Report:
     ratio_min is the smallest observed dist(x, orbit) / ||x - x*|| over the
     sample set (the empirical stand-in for the existential contraction
     constant); the upper bound dist <= ||x - x*|| is unconditional, so any
-    violation is counted as a bug signal.
+    violation is counted as a bug signal.  excluded counts the samples within
+    1e-12 of x*: they are in n_samples but not in the ratio statistics.
     """
 
     ratio_min: float
@@ -312,6 +306,7 @@ class Prop1Report:
     radii: tuple[float, ...]
     seed: int
     per_radius_ratio_min: tuple[float, ...]
+    excluded: int
 
 
 def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
@@ -339,6 +334,7 @@ def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
     violations = 0
     first_violation = None
     used = 0
+    excluded = 0
     per_radius_min = []
     for r in radii:
         r_min = math.inf
@@ -353,7 +349,8 @@ def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
             dx = float(np.linalg.norm(x - orbit.x_star))
             used += 1
             if dx < 1e-12:
-                continue  # degenerate sample, excluded from ratio statistics
+                excluded += 1
+                continue
             d, _ = dist_to_orbit(orbit, x)
             margin = d - dx
             worst_margin = max(worst_margin, margin)
@@ -368,7 +365,8 @@ def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
     report = Prop1Report(ratio_min=ratio_min, violations=violations,
                          upper_margin=worst_margin, n_samples=used,
                          radii=tuple(radii), seed=seed,
-                         per_radius_ratio_min=tuple(per_radius_min))
+                         per_radius_ratio_min=tuple(per_radius_min),
+                         excluded=excluded)
     if violations:
         x_bad, excess = first_violation
         raise UpperBoundViolation(x_bad, excess, report)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ContinuousSignal, HybridSystemDef
+from .core import ContinuousSignal, HybridSystemDef, central_difference
 from .errors import ChartSingular, NewtonDiverged, PreconditionError
 from .events import require_finite, time_to_impact
 from .flow import IntegratorConfig
@@ -30,6 +30,7 @@ _NEWTON_TOL_REL = 1e-10
 _NEWTON_MAX_ITER = 50
 _LINESEARCH_MAX_HALVINGS = 20
 _FD_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
+_MARGINAL_BAND = 1e-6  # |rho - 1| within this is LAS-marginal
 _CHART_MIN_GRAD = 1e-12
 
 
@@ -56,12 +57,12 @@ class SurfaceChart:
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.delete(np.asarray(x, dtype=float), self.j)
 
-    def embed(self, z: np.ndarray, seed: float | None = None) -> np.ndarray:
+    def embed(self, z: np.ndarray) -> np.ndarray:
         """Insert the eliminated coordinate and solve H = 0 for it."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.sys.n - 1,):
             raise PreconditionError("chart coordinate has the wrong dimension")
-        x = np.insert(z, self.j, self.x_ref[self.j] if seed is None else seed)
+        x = np.insert(z, self.j, self.x_ref[self.j])
         tol = 1e-13 * max(1.0, float(np.max(np.abs(x))))
         for _ in range(60):
             hv = self.sys.eval_h(x)
@@ -81,12 +82,10 @@ class StabilityReport:
     chart_j: int
     newton_residuals: tuple[float, ...]
     jacobian: np.ndarray | None = None
-    jacobian_step: float = 0.0
     fd_consistency: float = 0.0
     eigenvalues: tuple[complex, ...] = ()
     spectral_radius: float = math.nan
     verdict: str = ""  # LES | LAS-marginal | unstable
-    margin: float = 1e-6
 
 
 def zero_inputs(sys: HybridSystemDef) -> tuple[ContinuousSignal, np.ndarray]:
@@ -136,15 +135,7 @@ def find_fixed_point(sys: HybridSystemDef, x_guess: np.ndarray,
             t_star = require_finite(time_to_impact(sys, x_star, u0, v0, mcfg, t_cap), t_cap).time
             return StabilityReport(x_star=x_star, t_star=t_star, chart_j=chart.j,
                                    newton_residuals=tuple(residuals))
-        m = z.size
-        J = np.empty((m, m))
-        for col in range(m):
-            step = _FD_STEP * max(1.0, abs(z[col]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[col] += step
-            zm[col] -= step
-            J[:, col] = (residual(zp) - residual(zm)) / (2.0 * step)
+        J = central_difference(residual, z, _FD_STEP)
         try:
             dz = np.linalg.solve(J, -fz)
         except np.linalg.LinAlgError as exc:
@@ -167,32 +158,15 @@ def find_fixed_point(sys: HybridSystemDef, x_guess: np.ndarray,
                          iterates, residuals)
 
 
-def _chart_map_jacobian(sys: HybridSystemDef, chart: SurfaceChart, z_star: np.ndarray,
-                        cfg: IntegratorConfig, t_cap: float, step_scale: float) -> np.ndarray:
-    u0, v0 = zero_inputs(sys)
-    m = z_star.size
-    J = np.empty((m, m))
-    for col in range(m):
-        step = step_scale * max(1.0, abs(z_star[col]))
-        zp = z_star.copy()
-        zm = z_star.copy()
-        zp[col] += step
-        zm[col] -= step
-        gp = chart.project(poincare_map(sys, chart.embed(zp), u0, v0, cfg, t_cap))
-        gm = chart.project(poincare_map(sys, chart.embed(zm), u0, v0, cfg, t_cap))
-        J[:, col] = (gp - gm) / (2.0 * step)
-    return J
-
-
 def linearize(sys: HybridSystemDef, report: StabilityReport,
               cfg: IntegratorConfig | None = None,
-              t_cap: float | None = None, margin: float = 1e-6) -> StabilityReport:
+              t_cap: float | None = None) -> StabilityReport:
     """Fill the on-surface Jacobian (central differences, column by column),
     its eigenvalues and the stability verdict.
 
     The Jacobian is recomputed at half the step as a consistency check; a
-    spectral radius within `margin` of one is reported as LAS-marginal, never
-    silently rounded to stable.
+    spectral radius within _MARGINAL_BAND of one is reported as
+    LAS-marginal, never silently rounded to stable.
     """
     if report.x_star is None or not report.newton_residuals:
         raise PreconditionError("linearize needs a converged fixed-point report")
@@ -200,18 +174,22 @@ def linearize(sys: HybridSystemDef, report: StabilityReport,
     cap = t_cap if t_cap is not None else 10.0 * report.t_star
     chart = SurfaceChart.build(sys, report.x_star)
     z_star = chart.project(report.x_star)
-    J = _chart_map_jacobian(sys, chart, z_star, mcfg, cap, _FD_STEP)
-    J_half = _chart_map_jacobian(sys, chart, z_star, mcfg, cap, _FD_STEP / 2.0)
+    u0, v0 = zero_inputs(sys)
+
+    def chart_map(z: np.ndarray) -> np.ndarray:
+        return chart.project(poincare_map(sys, chart.embed(z), u0, v0, mcfg, cap))
+
+    J = central_difference(chart_map, z_star, _FD_STEP)
+    J_half = central_difference(chart_map, z_star, _FD_STEP / 2.0)
     consistency = float(np.max(np.abs(J - J_half))) if J.size else 0.0
     eigs = np.linalg.eigvals(J) if J.size else np.array([])
     rho = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if rho < 1.0 - margin:
+    if rho < 1.0 - _MARGINAL_BAND:
         verdict = "LES"
-    elif rho <= 1.0 + margin:
+    elif rho <= 1.0 + _MARGINAL_BAND:
         verdict = "LAS-marginal"
     else:
         verdict = "unstable"
-    return replace(report, jacobian=J, jacobian_step=_FD_STEP,
-                   fd_consistency=consistency,
+    return replace(report, jacobian=J, fd_consistency=consistency,
                    eigenvalues=tuple(complex(e) for e in eigs),
-                   spectral_radius=rho, verdict=verdict, margin=margin)
+                   spectral_radius=rho, verdict=verdict)

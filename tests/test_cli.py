@@ -119,6 +119,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
 
 
+class TestUsageErrors:
+    """Usage errors exit 1, the config-error code, never argparse's 2, which
+    is the guard-termination code here."""
+
+    def test_missing_config_exits_one(self, capsys):
+        assert main(["orbit"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_threads_exit_one(self, tmp_path, threads):
+        cfg = write_config(tmp_path, linear_simulate_config())
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", threads]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--threads" in capsys.readouterr().out
+
+    def test_sie_threads_environment_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SIE_THREADS", "abc")
+        cfg = write_config(tmp_path, linear_simulate_config())
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 class TestOrbitCommand:
     def test_rimless_verdict_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -192,6 +216,7 @@ class TestCertifyCommand:
         report = json.loads((out / "prop1_report.json").read_text())
         assert report["violations"] == 0
         assert report["ratio_min"] == pytest.approx(1.0, abs=1e-6)
+        assert report["excluded"] == 0
 
 
 class TestSweepCommand:

@@ -5,9 +5,10 @@ import pytest
 
 from sie import _rng
 from sie.core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
-                      euclidean, point_set_distance, validate_system)
+                      central_difference, euclidean, validate_system)
 from sie.errors import EvaluatorFailure, PreconditionError
 from sie import models
+from sie.orbit import nearest_chords
 
 
 def test_splitmix64_reference_vectors():
@@ -27,23 +28,25 @@ class TestSignals:
     def test_zero(self):
         u = ContinuousSignal.zero(2)
         assert u.sup_norm() == 0.0
-        assert np.array_equal(u(3.7), np.zeros(2))
+        assert np.array_equal(u.compile()(3.7), np.zeros(2))
 
     def test_sinusoid_matches_forcing_template(self):
         # amplitude (5, 0) at angular frequency 4 has sup norm 5
         u = ContinuousSignal.sinusoid([5.0, 0.0], omega=4.0)
         assert u.sup_norm() == pytest.approx(5.0, abs=0.0)
-        assert u(0.0)[0] == 0.0
-        assert u(math.pi / 8.0)[0] == pytest.approx(5.0, abs=1e-12)
+        fn = u.compile()
+        assert fn(0.0)[0] == 0.0
+        assert fn(math.pi / 8.0)[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_constant_norm(self):
         assert ContinuousSignal.constant([3.0, 4.0]).sup_norm() == pytest.approx(5.0)
 
     def test_tabulated_interpolates_linearly(self):
         u = ContinuousSignal.tabulated([0.0, 1.0, 2.0], [[0.0], [2.0], [0.0]])
-        assert u(0.5)[0] == pytest.approx(1.0)
-        assert u(1.5)[0] == pytest.approx(1.0)
-        assert u(5.0)[0] == pytest.approx(0.0)  # held beyond the last sample
+        fn = u.compile()
+        assert fn(0.5)[0] == pytest.approx(1.0)
+        assert fn(1.5)[0] == pytest.approx(1.0)
+        assert fn(5.0)[0] == pytest.approx(0.0)  # held beyond the last sample
         assert u.sup_norm() == pytest.approx(2.0)
 
     def test_composite_bound_is_sum(self):
@@ -52,13 +55,13 @@ class TestSignals:
             ContinuousSignal.sinusoid([0.5], omega=2.0),
         ])
         assert u.sup_norm() == pytest.approx(1.5)
-        assert u(0.0)[0] == pytest.approx(1.0)
+        assert u.compile()(0.0)[0] == pytest.approx(1.0)
 
     def test_scaled_and_shifted(self):
         u = ContinuousSignal.sinusoid([2.0], omega=3.0).scaled(0.5)
         assert u.sup_norm() == pytest.approx(1.0)
         shifted = u.shifted(1.25)
-        assert shifted(0.5)[0] == pytest.approx(u(1.75)[0])
+        assert shifted.compile()(0.5)[0] == pytest.approx(u.compile()(1.75)[0])
 
     @pytest.mark.parametrize("u", [
         ContinuousSignal.zero(1),
@@ -114,11 +117,14 @@ class TestDiscreteSequence:
 
 
 class TestDistance:
+    """Distance to a random polyline, the point set every orbit-distance
+    query reduces to; its vertices lie on it."""
+
     def test_point_set_distance_upper_bounds_all_members(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(50, 3))
         x = rng.normal(size=3)
-        d = point_set_distance(x, pts)
+        d = nearest_chords(pts, x[None, :])[1][0]
         assert all(d <= np.linalg.norm(x - y) + 1e-15 for y in pts)
 
     def test_point_set_distance_is_1_lipschitz(self):
@@ -126,8 +132,31 @@ class TestDistance:
         pts = rng.normal(size=(40, 2))
         for _ in range(200):
             x, xp = rng.normal(size=2), rng.normal(size=2)
-            lhs = abs(point_set_distance(x, pts) - point_set_distance(xp, pts))
-            assert lhs <= np.linalg.norm(x - xp) + 1e-12
+            d, dp = nearest_chords(pts, np.stack([x, xp]))[1]
+            assert abs(d - dp) <= np.linalg.norm(x - xp) + 1e-12
+
+
+def test_central_difference_matches_column_loop():
+    def loop(fn, x, rel_step):
+        # the per-column loop the gradient, Newton and linearize estimates used
+        cols = []
+        for i in range(x.size):
+            step = rel_step * max(1.0, abs(x[i]))
+            xp, xm = x.copy(), x.copy()
+            xp[i] += step
+            xm[i] -= step
+            cols.append((fn(xp) - fn(xm)) / (2.0 * step))
+        return np.array(cols).T
+
+    x = np.array([0.3, -2.5, 7.0])
+    vec = lambda y: np.array([np.sin(y[0]) * y[1], y[2] ** 3 - y[0]])
+    scal = lambda y: float(np.exp(y[0]) + y[1] * y[2])
+    J = central_difference(vec, x, 1e-5)
+    g = central_difference(scal, x, 1e-6)
+    assert J.shape == (2, 3) and g.shape == (3,)
+    assert np.array_equal(J, loop(vec, x, 1e-5))
+    assert np.array_equal(g, loop(scal, x, 1e-6))
+    assert central_difference(vec, np.empty(0), 1e-5).shape == (0, 0)
 
 
 class TestValidateSystem:

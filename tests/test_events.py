@@ -88,7 +88,7 @@ def _per_sample_scan(sys, ufn, record, from_t):
     """Reference scan: np.linspace sample times and one `_record_eval` per
     sample.  Returns (times, states, H values, hit)."""
     t_left, h = record[0], record[1]
-    ts = np.linspace(max(t_left, from_t), t_left + h, _SAMPLES_PER_STEP)
+    ts = np.linspace(t_left, t_left + h, _SAMPLES_PER_STEP)
     xs = np.array([_record_eval(record, t) for t in ts])
     hs = [sys.eval_h(x) for x in xs]
     dwell_floor = 1e-11 * max(1.0, abs(from_t))
@@ -122,11 +122,11 @@ def test_batched_scan_matches_per_sample_scan(name):
     while not stepper.done:
         record = stepper.step()
         t_left, h = record[0], record[1]
-        # from_t at the step's left edge, and inside the step as on a first
-        # step that starts after t_left
-        for from_t in (t_left, t_left + 0.3 * h):
+        # from_t at the step's left edge, and at the search start, which is
+        # what first_crossing passes
+        for from_t in (t_left, 0.0):
             ts_ref, xs_ref, hs_ref, hit_ref = _per_sample_scan(sys, ufn, record, from_t)
-            ts = _scan_times(max(t_left, from_t), t_left + h)
+            ts = _scan_times(t_left, t_left + h)
             xs = _record_eval_many(record, ts)
             assert np.array_equal(ts, ts_ref)
             scale = max(1.0, float(np.max(np.abs(xs_ref))))

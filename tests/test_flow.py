@@ -5,7 +5,7 @@ import pytest
 
 from sie.core import ContinuousSignal, HybridSystemDef
 from sie.errors import Blowup, PreconditionError, StepLimitExceeded
-from sie.flow import IntegratorConfig, flow_sensitivity, integrate
+from sie.flow import IntegratorConfig, integrate
 from sie import models
 from tests.conftest import LN2
 
@@ -124,39 +124,6 @@ def test_invalid_span_and_state(linear_sys):
         integrate(linear_sys, np.array([0.0, 1.0]), U0, (1.0, 1.0))
     with pytest.raises(PreconditionError):
         integrate(linear_sys, np.array([math.nan, 1.0]), U0, (0.0, 1.0))
-
-
-class TestSensitivity:
-    def test_linear_reset_direction_derivative(self, linear_sys):
-        # d x2(1) / d x2(0) = e^{-a} = 0.5 at a = ln 2
-        out = flow_sensitivity(linear_sys, np.array([0.0, 1.0]), U0, 1.0,
-                               direction=np.array([0.0, 1.0]))
-        assert np.allclose(out.derivative, [0.0, 0.5], atol=1e-6)
-
-    def test_zero_horizon_returns_direction(self, linear_sys):
-        d = np.array([0.6, 0.8])
-        out = flow_sensitivity(linear_sys, np.array([0.2, 0.2]), U0, 0.0, direction=d)
-        assert np.array_equal(out.derivative, d)
-        assert out.richardson_error == 0.0
-
-    def test_richardson_estimate_is_consistent(self):
-        sysd = models.model("vdp-adapter", mu=0.2)
-        rng = np.random.default_rng(3)
-        d = rng.normal(size=2)
-        d /= np.linalg.norm(d)
-        out = flow_sensitivity(sysd, np.array([1.5, 0.5]), U0, 2.0, direction=d)
-        # half-step finite difference agrees within 10x the attached estimate
-        h = float(np.finfo(float).eps ** (1 / 3)) * max(1.0, np.linalg.norm([1.5, 0.5]))
-        cfg = IntegratorConfig()
-        fp = integrate(sysd, np.array([1.5, 0.5]) + (h / 2) * d, U0, (0.0, 2.0), cfg).ys[-1]
-        fm = integrate(sysd, np.array([1.5, 0.5]) - (h / 2) * d, U0, (0.0, 2.0), cfg).ys[-1]
-        again = (fp - fm) / h
-        assert np.linalg.norm(again - out.derivative) <= 10.0 * max(out.richardson_error, 1e-12)
-
-    def test_requires_unit_direction(self, linear_sys):
-        with pytest.raises(PreconditionError):
-            flow_sensitivity(linear_sys, np.array([0.0, 1.0]), U0, 1.0,
-                             direction=np.array([0.0, 2.0]))
 
 
 def test_eval_many_matches_row_by_row_eval(rimless_sys):

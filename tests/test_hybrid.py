@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
-from sie.errors import NoImpacts, PreconditionError
+from sie.errors import PreconditionError
 from sie.events import time_to_impact
 from sie.flow import IntegratorConfig
-from sie.hybrid import GuardConfig, poincare_sequence, simulate
+from sie.hybrid import GuardConfig, simulate
 from sie import models
 from tests.conftest import (RIMLESS_EIG, RIMLESS_OMEGA_STAR, RIMLESS_T_STAR,
                             RIMLESS_THETA_IMPACT, scalar_traj_eval)
@@ -63,20 +63,13 @@ class TestLinearResetRun:
 class TestPoincareSequence:
     def test_geometric_sequence(self, linear_sys):
         traj = simulate(linear_sys, np.array([0.0, 0.3]), U0, V0, 5.0)
-        seq = poincare_sequence(traj)
-        x2 = [x[1] for _, x in seq]
+        x2 = [imp.x_minus[1] for imp in traj.impacts]
         assert np.allclose(x2, [0.15, 0.075, 0.0375, 0.01875, 0.009375], atol=1e-9)
-
-    def test_no_impacts_raises(self, linear_sys):
-        traj = simulate(linear_sys, np.array([0.0, 0.0]), U0, V0, 0.5)
-        with pytest.raises(NoImpacts):
-            poincare_sequence(traj)
 
     def test_rimless_contracts_exactly_in_energy_coordinates(self, rimless_sys):
         # the section map is affine in z = omega^2 with slope cos^2(2 alpha)
         traj = simulate(rimless_sys, np.array([0.08 - math.pi / 8.0, 1.2]), U0, V0, 12.0)
-        seq = poincare_sequence(traj)
-        z = np.array([x[1] ** 2 for _, x in seq]) - RIMLESS_OMEGA_STAR ** 2
+        z = np.array([imp.x_minus[1] ** 2 for imp in traj.impacts]) - RIMLESS_OMEGA_STAR ** 2
         ratios = z[1:6] / z[:5]
         assert np.allclose(ratios, RIMLESS_EIG, atol=1e-6)
 
@@ -153,7 +146,7 @@ def test_every_impact_on_surface_and_transversal(rimless_sys):
     for imp in traj.impacts:
         scale = max(1.0, float(np.max(np.abs(imp.x_minus))))
         assert abs(rimless_sys.eval_h(imp.x_minus)) <= 1e-10 * scale
-        assert rimless_sys.lie_h(imp.x_minus, u(imp.t)) < 0.0
+        assert rimless_sys.lie_h(imp.x_minus, u.compile()(imp.t)) < 0.0
         assert rimless_sys.eval_h(imp.x_plus) > 0.0
 
 

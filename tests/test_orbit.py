@@ -41,11 +41,6 @@ class TestBuildOrbit:
         with pytest.raises(ClosureError):
             build_orbit(linear_sys, bad)
 
-    def test_backward_indexing(self, linear_orbit):
-        assert linear_orbit.tau_backward(0.0) == linear_orbit.t_star
-        tau = 0.25 * linear_orbit.t_star
-        assert linear_orbit.tau_backward(linear_orbit.tau_backward(tau)) == pytest.approx(tau)
-
 
 def _depth_first_refine(seg, nodes, ds_max, t_star):
     """Reference refinement: split intervals recursively, depth first, with
@@ -121,7 +116,7 @@ class TestDistToOrbit:
         sag = rimless_orbit.ds_max ** 2  # generous bound on chord deviation
         for _ in range(80):
             x = rimless_orbit.x_star + rng.uniform(-1.0, 1.0, size=2)
-            coarse = rimless_orbit.coarse_distance(x)
+            coarse = float(np.min(rimless_orbit.coarse_distances(x)))
             refined, _ = dist_to_orbit(rimless_orbit, x)
             assert refined <= coarse + sag
             assert refined >= coarse - sag
@@ -206,6 +201,16 @@ class TestCertifyProp1:
         # all samples collapse onto the fixed point and are excluded
         assert math.isinf(rep.ratio_min)
         assert rep.violations == 0
+        assert rep.excluded == rep.n_samples == 50
+
+    def test_excluded_counts_only_degenerate_samples(self, linear_sys, linear_orbit):
+        rep = certify_prop1(linear_orbit, linear_sys, 5, radii=(1e-14,), seed=4)
+        assert rep.excluded == 5
+        assert rep.n_samples == 5
+        rep = certify_prop1(linear_orbit, linear_sys, 10, radii=(1e-14, 0.1), seed=4)
+        assert rep.excluded == 5
+        assert rep.n_samples == 10
+        assert rep.per_radius_ratio_min[1] == pytest.approx(1.0, abs=1e-7)
 
     def test_spot_check_against_brute_force(self, rimless_sys, rimless_orbit):
         # oversample the orbit interpolant and compare point-cloud minima
