@@ -29,7 +29,7 @@ from .flow import IntegratorConfig
 from .hybrid import GuardConfig, simulate
 from .iss import SweepConfig, check_equivalence, fit_gain, run_sweep
 from .models import model
-from .orbit import UpperBoundViolation, build_orbit, certify_prop1, nearest_chords
+from .orbit import Chords, UpperBoundViolation, build_orbit, certify_prop1, nearest_chords
 from .poincare import find_fixed_point, linearize
 from .core import validate_system
 
@@ -197,13 +197,13 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     guards = _guards_from_config(cfg)
     traj = simulate(sysdef, x0, u, vbar, t_final, guards, icfg)
 
-    orbit_points = None
+    chords = None
     if "orbit_samples" in block:
-        orbit_points = _load_orbit_samples(block["orbit_samples"])
+        chords = Chords.of(_load_orbit_samples(block["orbit_samples"]))
 
     sample_dt = float(block.get("sample_dt", t_final / 1000.0))
     header = ["t"] + [f"x_{i + 1}" for i in range(sysdef.n)]
-    if orbit_points is not None:
+    if chords is not None:
         header.append("dist_to_orbit")
     header.append("segment_index")
     rows = []
@@ -211,7 +211,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         ts = np.arange(seg.t0, seg.t1, sample_dt)
         ts = np.concatenate([ts, [seg.t1]])
         xs = np.array([seg.eval(min(t, seg.t1)) for t in ts])
-        dists = nearest_chords(orbit_points, xs)[1] if orbit_points is not None else None
+        dists = nearest_chords(chords, xs)[1] if chords is not None else None
         for j, (t, x) in enumerate(zip(ts, xs)):
             row = [t, *x]
             if dists is not None:

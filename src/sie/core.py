@@ -18,6 +18,8 @@ import numpy as np
 from . import _rng
 from .errors import EvaluatorFailure, PreconditionError
 
+_PROBE_SURFACE_TOL = 1e-8  # |H| below this, relative to max(1, |x|), is on the surface
+
 
 def euclidean(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
@@ -347,8 +349,7 @@ class ValidationReport:
         return all(p.f_finite and p.delta_finite and p.h_finite for p in self.probes)
 
 
-def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray],
-                    *, surface_tol: float = 1e-8) -> ValidationReport:
+def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) -> ValidationReport:
     """Spot-check a system definition at the given probe states.
 
     Per probe: evaluators return finite values, the analytic gradient (when
@@ -377,7 +378,7 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray],
         if sys.grad_h is not None:
             fd = sys._fd_gradient(x)
             mismatch = euclidean(grad - fd) / max(1.0, euclidean(fd))
-        on_surface = abs(hv) <= surface_tol * max(1.0, float(np.max(np.abs(x))))
+        on_surface = abs(hv) <= _PROBE_SURFACE_TOL * max(1.0, float(np.max(np.abs(x))))
         degenerate = on_surface and euclidean(grad) < 1e-12
         results.append(ProbeResult(
             index=idx,

@@ -167,11 +167,10 @@ def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
             t_hit, x, lfh, width = hit
             event = ImpactEvent(t_hit=t_hit, x_minus=x, lfh=lfh, localization_width=width)
             seg = _build_segment(stepper.records, t0, t_hit, stepper.n_accepted,
-                                 stepper.n_rejected, stepper.h_min, stepper.h_max,
-                                 final_y=x)
+                                 stepper.n_rejected, stepper.h_max, final_y=x)
             return CrossingSearch(segment=seg, event=event)
     seg = _build_segment(stepper.records, t0, t_end, stepper.n_accepted,
-                         stepper.n_rejected, stepper.h_min, stepper.h_max)
+                         stepper.n_rejected, stepper.h_max)
     event = _endpoint_event(sys, ufn, t_end, seg.ys[-1])
     return CrossingSearch(segment=seg, event=event)
 

@@ -82,7 +82,6 @@ class FlowSegment:
     qs: np.ndarray
     n_accepted: int
     n_rejected: int
-    h_min: float
     h_max: float
 
     @property
@@ -90,7 +89,7 @@ class FlowSegment:
         return self.ys.shape[1]
 
     def _locate(self, t: float) -> int:
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
+        i = int(self.ts.searchsorted(t, "right")) - 1
         return min(max(i, 0), len(self.ts) - 1)
 
     def eval(self, t: float) -> np.ndarray:
@@ -106,6 +105,19 @@ class FlowSegment:
             return self.ys[i].copy()
         powers = np.array([th, th * th, th**3, th**4])
         return self.ys[i] + self.hs[i] * (self.qs[i] @ powers)
+
+    def jet(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`eval(t)` and the first two t-derivatives of the quartic of the
+        step holding t; outside (t0, t1) the derivatives are those of the
+        nearest end."""
+        y = self.eval(t)
+        t = min(max(t, self.t0), self.t1)
+        i = self._locate(t)
+        h = self.hs[i]
+        th = (t - self.ts[i]) / h
+        d = self.qs[i] @ np.array([[1.0, 0.0], [2.0 * th, 2.0],
+                                   [3.0 * th * th, 6.0 * th], [4.0 * th**3, 12.0 * th * th]])
+        return y, d[:, 0], d[:, 1] / h
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Row-by-row `eval` of a batch of times, without the span check:
@@ -145,7 +157,6 @@ class Stepper:
         self._nfev = 2  # initial-step heuristic reuses k1 and one probe
         self.n_accepted = 0
         self.n_rejected = 0
-        self.h_min = math.inf
         self.h_max = 0.0
         self.records: list[tuple[float, float, np.ndarray, np.ndarray, np.ndarray]] = []
 
@@ -170,7 +181,7 @@ class Stepper:
     def _partial_segment(self) -> FlowSegment:
         t0 = self.records[0][0] if self.records else self.t
         return _build_segment(self.records, t0, self.t,
-                              self.n_accepted, self.n_rejected, self.h_min, self.h_max)
+                              self.n_accepted, self.n_rejected, self.h_max)
 
     def step(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
         """Advance one accepted step; returns (t_left, h, y_left, y_right, Q)."""
@@ -206,7 +217,6 @@ class Stepper:
                 self.y = y_new
                 self._k1 = K[6]
                 self.n_accepted += 1
-                self.h_min = min(self.h_min, h)
                 self.h_max = max(self.h_max, h)
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXPONENT)
                 self._h = h * factor
@@ -218,7 +228,7 @@ class Stepper:
 
 
 def _build_segment(records, t0: float, t1: float, n_acc: int, n_rej: int,
-                   h_min: float, h_max: float, final_y: np.ndarray | None = None) -> FlowSegment:
+                   h_max: float, final_y: np.ndarray | None = None) -> FlowSegment:
     if not records:
         raise PreconditionError("cannot build a segment from zero accepted steps")
     ts = np.array([r[0] for r in records])
@@ -228,8 +238,7 @@ def _build_segment(records, t0: float, t1: float, n_acc: int, n_rej: int,
     if final_y is not None:
         ys[-1] = final_y
     return FlowSegment(t0=t0, t1=t1, ts=ts, hs=hs, ys=ys, qs=qs,
-                       n_accepted=n_acc, n_rejected=n_rej,
-                       h_min=h_min if n_acc else 0.0, h_max=h_max)
+                       n_accepted=n_acc, n_rejected=n_rej, h_max=h_max)
 
 
 def integrate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
@@ -246,4 +255,4 @@ def integrate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     while not stepper.done:
         stepper.step()
     return _build_segment(stepper.records, t0, t1, stepper.n_accepted,
-                          stepper.n_rejected, stepper.h_min, stepper.h_max)
+                          stepper.n_rejected, stepper.h_max)

@@ -114,7 +114,7 @@ def _orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
     sharpened on the interpolant for rows closer than _REFINE_BELOW so decay
     fits stay clean near the numerical floor (the chord value carries the
     polyline sag)."""
-    i_chord, dev = nearest_chords(orbit.points, xs)
+    i_chord, dev = nearest_chords(orbit.chords, xs)
     near = np.flatnonzero(dev < _REFINE_BELOW)
     if near.size:
         x = xs[near]
@@ -251,16 +251,14 @@ class DecayFit:
     """Exponential-ansatz fit of zero-input deviation decay.
 
     Orbital: deviation <= prefactor * exp(-rate * t) * deviation(0).
-    Discrete: deviation_k <= prefactor_disc * ratio**k * deviation_0, with
-    ratio = exp(-discrete rate).
+    Discrete: deviation_k decays like ratio**k, with ratio = exp(-discrete
+    rate).
     """
 
     prefactor: float
     rate: float
     residual: float
-    prefactor_disc: float
     ratio: float
-    residual_disc: float
     interval_min: float
     interval_max: float
 
@@ -293,7 +291,7 @@ def fit_decay(runs: list[TrialSeries]) -> DecayFit:
         return keep & ~past_min
 
     slopes_o, prefs_o, resid_o = [], [], []
-    slopes_d, prefs_d, resid_d = [], [], []
+    slopes_d = []
     intervals = []
     for run in runs:
         keep_d = _usable(run.discrete_dev)
@@ -302,14 +300,11 @@ def fit_decay(runs: list[TrialSeries]) -> DecayFit:
             raise FitDegenerate(
                 "fewer than 10 crossings above the numerical floor; re-run with a larger offset")
         ks = np.flatnonzero(keep_d).astype(float)
-        sd, bd, rd = _fit_loglinear(ks, run.discrete_dev[keep_d])
+        sd, _, _ = _fit_loglinear(ks, run.discrete_dev[keep_d])
         ts = run.window_times[keep_o]
         so, bo, ro = _fit_loglinear(ts, run.orbital_sup[keep_o])
-        dev0_d = run.discrete_dev[keep_d][0]
         dev0_o = run.orbital_sup[keep_o][0]
         slopes_d.append(sd)
-        prefs_d.append(math.exp(bd) / dev0_d)
-        resid_d.append(rd)
         slopes_o.append(so)
         prefs_o.append(math.exp(bo) / dev0_o)
         resid_o.append(ro)
@@ -322,9 +317,7 @@ def fit_decay(runs: list[TrialSeries]) -> DecayFit:
         prefactor=float(np.median(prefs_o)),
         rate=rate,
         residual=float(np.max(resid_o)),
-        prefactor_disc=float(np.median(prefs_d)),
         ratio=math.exp(-rate_d),
-        residual_disc=float(np.max(resid_d)),
         interval_min=float(np.min(intervals)),
         interval_max=float(np.max(intervals)),
     )
@@ -387,7 +380,6 @@ class EquivalenceVerdict:
     factor_ok: bool
     zero_floor_ok: bool
     factor: float
-    factor_by_cell: tuple[tuple[tuple[float, float, float], float], ...]
     pair_checks: tuple[PairCheck, ...]
     floor: float
 
@@ -449,9 +441,8 @@ def check_equivalence(report: IssSweepReport,
                                              median_low=m_lo, median_high=m_hi,
                                              ci_low=ci, ok=ok))
     factor = 0.0
-    factor_by_cell: list[tuple[tuple[float, float, float], float]] = []
     zero_ok = True
-    for key, c in cells.items():
+    for c in cells.values():
         if c.u_amp == 0.0 and c.v_amp == 0.0:
             zero_ok = (zero_ok and c.ultimate_orbital <= _ZERO_FLOOR
                        and c.ultimate_discrete <= _ZERO_FLOOR)
@@ -461,15 +452,12 @@ def check_equivalence(report: IssSweepReport,
         if c.ultimate_orbital <= _ZERO_FLOOR and c.ultimate_discrete <= _ZERO_FLOOR:
             continue
         lo = max(min(c.ultimate_orbital, c.ultimate_discrete), _ZERO_FLOOR * 1e-3)
-        f = max(c.ultimate_orbital, c.ultimate_discrete) / lo
-        factor = max(factor, f)
-        factor_by_cell.append((key, f))
+        factor = max(factor, max(c.ultimate_orbital, c.ultimate_discrete) / lo)
     return EquivalenceVerdict(
         monotone_ok=monotone_ok,
         factor_ok=factor <= factor_limit,
         zero_floor_ok=zero_ok,
         factor=factor,
-        factor_by_cell=tuple(factor_by_cell),
         pair_checks=tuple(pair_checks),
         floor=_ZERO_FLOOR,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ _TAU_TOL_REL = 1e-12
 _TAU_SET_TOL = 1e-9
 _BLOCK_ELEMENTS = 1 << 15  # row-chord pairs per nearest_chords block
 _REFINE_ROUNDS = 6
+_NEWTON_MAX_ITERS = 100  # bisecting a whole period to the tau tolerance takes 40
 
 
 class UpperBoundViolation(SieError):
@@ -55,50 +57,69 @@ class PeriodicOrbit:
     def eval_many(self, taus: np.ndarray) -> np.ndarray:
         return self.segment.eval_many(np.clip(taus, 0.0, self.t_star))
 
-    # -- polyline machinery -------------------------------------------------
+    @cached_property
+    def chords(self) -> Chords:
+        return Chords.of(self.points)
 
     def coarse_distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from x to every chord of the sample polyline."""
-        return np.sqrt(_chord_sq_distances(self.points, np.asarray(x, dtype=float)[None, :])[0])
+        return np.sqrt(_chord_sq_distances(self.chords, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _chord_sq_distances(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Squared distance from each row of xs to each chord of the polyline
-    through points, shape (len(xs), len(points) - 1).  A zero-length chord
-    (a repeated sample) counts as its endpoint.  Works one coordinate at a
-    time on (rows, chords) arrays, in place where it can."""
-    p = points[:-1]
-    d = points[1:] - p
-    denom = np.einsum("ij,ij->i", d, d)
-    denom[denom == 0.0] = 1.0
+@dataclass(frozen=True)
+class Chords:
+    """The chords of a sample polyline, built once per polyline: start
+    points, direction vectors and squared lengths, one contiguous array per
+    coordinate.  A zero-length chord (a repeated sample) gets squared length
+    1, so it counts as its start point."""
+
+    starts: tuple[np.ndarray, ...]
+    dirs: tuple[np.ndarray, ...]
+    sq_lengths: np.ndarray
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> "Chords":
+        p = points[:-1]
+        d = points[1:] - p
+        sq = np.einsum("ij,ij->i", d, d)
+        sq[sq == 0.0] = 1.0
+        return cls(starts=tuple(np.ascontiguousarray(c) for c in p.T),
+                   dirs=tuple(np.ascontiguousarray(c) for c in d.T), sq_lengths=sq)
+
+
+def _chord_sq_distances(chords: Chords, xs: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of xs to each chord, shape
+    (len(xs), number of chords).  Works one coordinate at a time on
+    (rows, chords) arrays, in place where it can."""
+    p, d = chords.starts, chords.dirs
     # s: clipped projection parameter of x onto each chord
-    s = (xs[:, 0, None] - p[:, 0]) * d[:, 0]
-    for j in range(1, points.shape[1]):
-        s += (xs[:, j, None] - p[:, j]) * d[:, j]
-    s /= denom
+    s = (xs[:, 0, None] - p[0]) * d[0]
+    for j in range(1, len(p)):
+        s += (xs[:, j, None] - p[j]) * d[j]
+    s /= chords.sq_lengths
     np.clip(s, 0.0, 1.0, out=s)
     out = np.zeros_like(s)
-    for j in range(points.shape[1]):
-        diff = s * d[:, j]
-        diff += p[:, j]
+    for j in range(len(p)):
+        diff = s * d[j]
+        diff += p[j]
         np.subtract(xs[:, j, None], diff, out=diff)
         diff *= diff
         out += diff
     return out
 
 
-def nearest_chords(points: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and distance of the nearest polyline chord for each row of xs.
+def nearest_chords(chords: Chords, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and distance of the nearest chord for each row of xs.
 
     Rows go through `_chord_sq_distances` in blocks of at most
     _BLOCK_ELEMENTS row-chord pairs, keeping only each row's minimum, so
     memory stays flat however many rows there are.
     """
-    rows = max(1, _BLOCK_ELEMENTS // (len(points) - 1))
+    rows = max(1, _BLOCK_ELEMENTS // len(chords.sq_lengths))
     idx = np.empty(len(xs), dtype=np.intp)
     sq = np.empty(len(xs))
     for lo in range(0, len(xs), rows):
-        chord = _chord_sq_distances(points, xs[lo:lo + rows])
+        chord = _chord_sq_distances(chords, xs[lo:lo + rows])
         best = np.argmin(chord, axis=1)
         idx[lo:lo + rows] = best
         sq[lo:lo + rows] = chord[np.arange(len(best)), best]
@@ -159,39 +180,39 @@ def build_orbit(sys: HybridSystemDef, report: StabilityReport,
                          diameter=diameter, ds_max=ds_max)
 
 
-def _golden_refine(orbit: PeriodicOrbit, x: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """Minimize ||x - y(tau)||^2 on [lo, hi]: golden section to the tau
-    tolerance, then one parabolic polish step."""
-
-    def g(tau: float) -> float:
-        d = x - orbit.eval(tau)
-        return float(d @ d)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tuple[float, float]:
+    """Minimize g(tau) = ||x - y(tau)||^2 on [taus[j0], taus[j1]]: Newton's
+    method on the dense jet from the bracket's nearest sample, bisecting
+    whenever the step leaves the bracket or g'' <= 0, down to the tau
+    tolerance.  Returns (tau, distance) of the best point evaluated, the
+    bracket's samples (its two ends among them) included."""
+    nodes = orbit.points[j0:j1 + 1] - x
+    node_g = np.einsum("ij,ij->i", nodes, nodes)
+    k = int(np.argmin(node_g))
+    best_g, best_t = float(node_g[k]), float(orbit.taus[j0 + k])
+    a, b = orbit.taus[j0], orbit.taus[j1]
+    tau = best_t
     tol = _TAU_TOL_REL * max(1.0, orbit.t_star)
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    gc, gd = g(c), g(d_)
-    while (b - a) > tol:
-        if gc < gd:
-            b, d_, gd = d_, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d_, gd
-            d_ = a + invphi * (b - a)
-            gd = g(d_)
-    tau = 0.5 * (a + b)
-    # parabolic polish through three nearby samples
-    h = max(tol, 1e-9 * max(1.0, orbit.t_star))
-    t0, t1, t2 = max(lo, tau - h), tau, min(hi, tau + h)
-    if t0 < t1 < t2:
-        g1 = g(t1)
-        t_par = float(_parabolic_min((t0, t1, t2), (g(t0), g1, g(t2))))
-        if t_par != t1 and lo <= t_par <= hi and g(t_par) < g1:
-            tau = t_par
-    return tau, math.sqrt(g(tau))
+    for _ in range(_NEWTON_MAX_ITERS):
+        y, dy, ddy = orbit.segment.jet(tau)
+        r = x - y
+        g = float(r @ r)
+        if g < best_g:
+            best_g, best_t = g, tau
+        # half of g' and g''; [a, b] keeps g' < 0 at a and g' > 0 at b
+        slope = -float(r @ dy)
+        curv = float(dy @ dy) - float(r @ ddy)
+        if slope < 0.0:
+            a = tau
+        elif slope > 0.0:
+            b = tau
+        nxt = tau - slope / curv if curv > 0.0 else math.nan
+        if not a < nxt < b:  # also NaN
+            nxt = 0.5 * (a + b)
+        if abs(nxt - tau) <= tol:
+            break
+        tau = nxt
+    return best_t, math.sqrt(best_g)
 
 
 def _parabolic_min(ts, gs):
@@ -255,30 +276,26 @@ def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[floa
     realizing it.
 
     The coarse polyline minimum brackets the candidates; each bracket is
-    refined on the dense interpolant.  The endpoint tau = T* (the fixed
+    refined by safeguarded Newton on the dense interpolant.  The endpoint tau = T* (the fixed
     point itself) is always a candidate, so closure points are included.
     Total: never raises.
     """
     x = np.asarray(x, dtype=float)
     chord = orbit.coarse_distances(x)
-    d_min = float(np.min(chord))
+    d_min = float(chord.min())
     # every chord whose distance could hide the true minimum gets refined,
     # with contiguous candidate chords merged into one bracket
     cand = np.flatnonzero(chord <= d_min + orbit.ds_max)
     runs: list[tuple[int, int]] = []
-    for i in cand:
+    for i in cand.tolist():
         if runs and i == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], int(i))
+            runs[-1] = (runs[-1][0], i)
         else:
-            runs.append((int(i), int(i)))
-    best: list[tuple[float, float]] = []
-    for i0, i1 in runs:
-        lo = orbit.taus[max(i0 - 1, 0)]
-        hi = orbit.taus[min(i1 + 2, len(orbit.taus) - 1)]
-        best.append(_golden_refine(orbit, x, lo, hi))
-    for tau_end in (0.0, orbit.t_star):
-        d_end = float(np.linalg.norm(x - orbit.eval(tau_end)))
-        best.append((tau_end, d_end))
+            runs.append((i, i))
+    best = [_newton_refine(orbit, x, max(i0 - 1, 0), min(i1 + 2, len(orbit.taus) - 1))
+            for i0, i1 in runs]
+    best.append((0.0, float(np.linalg.norm(x - orbit.points[0]))))
+    best.append((orbit.t_star, float(np.linalg.norm(x - orbit.points[-1]))))
     d = min(b[1] for b in best)
     near = sorted(t for t, dv in best if dv <= d + _TAU_SET_TOL)
     tau_set: list[float] = []
@@ -326,6 +343,8 @@ def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
             radii = radii + tuple(r * orbit.diameter for r in (10.0, 100.0, 1000.0))
     chart = SurfaceChart.build(sys, orbit.x_star)
     z_star = chart.project(orbit.x_star)
+    if not z_star.size:
+        raise PreconditionError("the surface is a point: no directions to sample")
     rng = np.random.default_rng(seed)
     per_radius = n_samples // len(radii) + (1 if n_samples % len(radii) else 0)
 
@@ -341,10 +360,12 @@ def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
         for _ in range(per_radius):
             if used >= n_samples:
                 break
-            direction = rng.normal(size=z_star.size)
-            nrm = float(np.linalg.norm(direction))
-            if nrm == 0.0:
-                continue
+            # a zero direction has no unit vector; redraw rather than lose
+            # the sample
+            nrm = 0.0
+            while nrm == 0.0:
+                direction = rng.normal(size=z_star.size)
+                nrm = float(np.linalg.norm(direction))
             x = chart.embed(z_star + (r / nrm) * direction)
             dx = float(np.linalg.norm(x - orbit.x_star))
             used += 1

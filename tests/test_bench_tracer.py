@@ -53,3 +53,21 @@ def test_traced_orbit_run_counts_map_evaluations(tracer_module, tmp_path):
     assert rc == 0
     assert tracer.counts()["poincare.map_evals"] > 0
     assert tracer.mismatches == []
+
+
+def test_traced_certify_calls_dist_to_orbit_once_per_sample(tracer_module, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"name": "linear-reset", "params": {}},
+        "certify_prop1": {"guess": [1.0, 0.6], "t_cap": 10.0, "samples": 30},
+    }))
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        rc = cli.main(["certify-prop1", "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert rc == 0
+    assert tracer.spans["orbit.dist_to_orbit"].calls == 30
+    assert tracer.counts()["orbit.queries"] == 30
+    assert tracer.mismatches == []

@@ -8,7 +8,7 @@ from sie.core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
                       central_difference, euclidean, validate_system)
 from sie.errors import EvaluatorFailure, PreconditionError
 from sie import models
-from sie.orbit import nearest_chords
+from sie.orbit import Chords, nearest_chords
 
 
 def test_splitmix64_reference_vectors():
@@ -124,15 +124,15 @@ class TestDistance:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(50, 3))
         x = rng.normal(size=3)
-        d = nearest_chords(pts, x[None, :])[1][0]
+        d = nearest_chords(Chords.of(pts), x[None, :])[1][0]
         assert all(d <= np.linalg.norm(x - y) + 1e-15 for y in pts)
 
     def test_point_set_distance_is_1_lipschitz(self):
         rng = np.random.default_rng(1)
-        pts = rng.normal(size=(40, 2))
+        chords = Chords.of(rng.normal(size=(40, 2)))
         for _ in range(200):
             x, xp = rng.normal(size=2), rng.normal(size=2)
-            d, dp = nearest_chords(pts, np.stack([x, xp]))[1]
+            d, dp = nearest_chords(chords, np.stack([x, xp]))[1]
             assert abs(d - dp) <= np.linalg.norm(x - xp) + 1e-12
 
 

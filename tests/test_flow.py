@@ -144,3 +144,48 @@ def test_eval_many_matches_row_by_row_eval(rimless_sys):
     with pytest.raises(PreconditionError):
         seg.eval(seg.t1 + 1e-3)
     assert np.array_equal(seg.eval_many(np.array([-1.0, 2.0])), seg.ys[[0, -1]])
+
+
+@pytest.fixture(scope="module")
+def rimless_segment(rimless_sys):
+    from tests.conftest import RIMLESS_OMEGA_PLUS
+    x0 = np.array([0.08 - math.pi / 8.0, RIMLESS_OMEGA_PLUS])
+    return integrate(rimless_sys, x0, U0, (0.0, 1.0))
+
+
+def test_jet_value_is_eval(rimless_segment):
+    seg = rimless_segment
+    rng = np.random.default_rng(13)
+    ts = np.concatenate([seg.ts, seg.ts + 0.37 * seg.hs, [seg.t0, seg.t1],
+                         rng.uniform(seg.t0, seg.t1, 200)])
+    for t in ts[ts <= seg.t1]:
+        y, _, _ = seg.jet(float(t))
+        assert np.array_equal(y, seg.eval(float(t)))
+    with pytest.raises(PreconditionError):
+        seg.jet(seg.t1 + 1e-3)
+
+
+def test_jet_slope_at_step_nodes_is_the_vector_field(rimless_sys, rimless_segment):
+    # the quartic's first coefficient is the FSAL stage k1 = f(y_left)
+    seg = rimless_segment
+    scale = max(1.0, float(np.max(np.abs(seg.ys))))
+    for t, y_left in zip(seg.ts, seg.ys):
+        _, dy, _ = seg.jet(float(t))
+        f = rimless_sys.eval_f(y_left, np.zeros(1))
+        assert np.max(np.abs(dy - f)) <= 1e-12 * scale
+
+
+def test_jet_derivatives_match_central_differences(rimless_segment):
+    seg = rimless_segment
+    scale = max(1.0, float(np.max(np.abs(seg.ys))))
+    for t, h in zip(seg.ts, seg.hs):
+        for frac in (0.25, 0.5, 0.75):
+            tc = float(t + frac * h)
+            if tc + 1e-3 * h >= seg.t1:
+                continue
+            _, dy, ddy = seg.jet(tc)
+            dt = 1e-3 * h
+            yp, y0, ym = seg.eval(tc + dt), seg.eval(tc), seg.eval(tc - dt)
+            # quartic in t: the truncation errors are dt^2/6 y''' and dt^2/12 y''''
+            assert np.max(np.abs(dy - (yp - ym) / (2.0 * dt))) <= 1e-8 * scale
+            assert np.max(np.abs(ddy - (yp - 2.0 * y0 + ym) / dt**2)) <= 1e-4 * scale

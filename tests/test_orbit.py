@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sie import models
 from sie.errors import ClosureError
 from sie.iss import _orbital_deviation
-from sie.orbit import (build_orbit, certify_prop1, dist_to_orbit,
-                       nearest_chords, refine_distance)
-from sie.poincare import find_fixed_point
+from sie.orbit import (_TAU_TOL_REL, _parabolic_min, build_orbit, certify_prop1,
+                       dist_to_orbit, nearest_chords, refine_distance)
+from sie.poincare import SurfaceChart, find_fixed_point
 from tests.conftest import RIMLESS_OMEGA_PLUS
 
 
@@ -152,13 +154,13 @@ class TestDistToOrbit:
         # next to the repeated sample the refined near-orbit path runs
         x_near = orb.points[k] + np.array([0.0, 1e-3])
         assert _orbital_deviation(orb, x_near) == pytest.approx(1e-3, abs=1e-9)
-        idx, dist = nearest_chords(orb.points, np.array([orb.points[k]]))
+        idx, dist = nearest_chords(orb.chords, np.array([orb.points[k]]))
         assert dist[0] == 0.0 and idx[0] in (k - 1, k, k + 1)
 
     def test_nearest_chords_blocks_match_one_matrix(self, rimless_orbit):
         rng = np.random.default_rng(8)
         xs = rimless_orbit.x_star + rng.uniform(-1.0, 1.0, size=(500, 2))
-        idx, dist = nearest_chords(rimless_orbit.points, xs)
+        idx, dist = nearest_chords(rimless_orbit.chords, xs)
         full = np.array([rimless_orbit.coarse_distances(x) for x in xs])
         assert np.array_equal(idx, np.argmin(full, axis=1))
         assert np.array_equal(dist, np.min(full, axis=1))
@@ -212,6 +214,27 @@ class TestCertifyProp1:
         assert rep.n_samples == 10
         assert rep.per_radius_ratio_min[1] == pytest.approx(1.0, abs=1e-7)
 
+    def test_zero_direction_is_redrawn(self, linear_sys, linear_orbit, monkeypatch):
+        # a direction of norm 0 must not use up a sample slot
+        real = np.random.default_rng
+
+        class ZeroFirst:
+            def __init__(self, seed):
+                self.rng = real(seed)
+                self.zeros = 1
+
+            def normal(self, size):
+                if self.zeros:
+                    self.zeros -= 1
+                    return np.zeros(size)
+                return self.rng.normal(size=size)
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroFirst)
+        rep = certify_prop1(linear_orbit, linear_sys, 6, radii=(0.1, 0.2), seed=4)
+        assert rep.n_samples == 6
+        assert rep.excluded == 0
+        assert all(r == pytest.approx(1.0, abs=1e-7) for r in rep.per_radius_ratio_min)
+
     def test_spot_check_against_brute_force(self, rimless_sys, rimless_orbit):
         # oversample the orbit interpolant and compare point-cloud minima
         taus = np.linspace(0.0, rimless_orbit.t_star, 1_000_001)
@@ -229,3 +252,150 @@ class TestCertifyProp1:
             diff = cloud - x[None, :]
             d_brute = float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
             assert abs(d - d_brute) <= 1e-6
+
+
+# -- references: the routines the Newton refine and the chord cache replaced --
+
+
+def _golden_refine(orbit, x, lo, hi):
+    """Reference: golden section on [lo, hi] to the tau tolerance, then one
+    parabolic polish step."""
+
+    def g(tau):
+        d = x - orbit.eval(tau)
+        return float(d @ d)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    tol = _TAU_TOL_REL * max(1.0, orbit.t_star)
+    c = b - invphi * (b - a)
+    d_ = a + invphi * (b - a)
+    gc, gd = g(c), g(d_)
+    while (b - a) > tol:
+        if gc < gd:
+            b, d_, gd = d_, c, gc
+            c = b - invphi * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d_, gd
+            d_ = a + invphi * (b - a)
+            gd = g(d_)
+    tau = 0.5 * (a + b)
+    h = max(tol, 1e-9 * max(1.0, orbit.t_star))
+    t0, t1, t2 = max(lo, tau - h), tau, min(hi, tau + h)
+    if t0 < t1 < t2:
+        g1 = g(t1)
+        t_par = float(_parabolic_min((t0, t1, t2), (g(t0), g1, g(t2))))
+        if t_par != t1 and lo <= t_par <= hi and g(t_par) < g1:
+            tau = t_par
+    return tau, math.sqrt(g(tau))
+
+
+def _golden_dist(orbit, x):
+    """Reference `dist_to_orbit` distance: the same brackets, each refined
+    by golden section, plus the two orbit ends."""
+    chord = orbit.coarse_distances(x)
+    cand = np.flatnonzero(chord <= float(np.min(chord)) + orbit.ds_max)
+    runs = []
+    for i in cand:
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    last = len(orbit.taus) - 1
+    ds = [_golden_refine(orbit, x, orbit.taus[max(i0 - 1, 0)], orbit.taus[min(i1 + 2, last)])[1]
+          for i0, i1 in runs]
+    ds += [float(np.linalg.norm(x - orbit.eval(t))) for t in (0.0, orbit.t_star)]
+    return min(ds)
+
+
+def _chord_sq_distances_per_call(points, xs):
+    """Reference chord pass that rebuilds the chord geometry on every call."""
+    p = points[:-1]
+    d = points[1:] - p
+    denom = np.einsum("ij,ij->i", d, d)
+    denom[denom == 0.0] = 1.0
+    s = (xs[:, 0, None] - p[:, 0]) * d[:, 0]
+    for j in range(1, points.shape[1]):
+        s += (xs[:, j, None] - p[:, j]) * d[:, j]
+    s /= denom
+    np.clip(s, 0.0, 1.0, out=s)
+    out = np.zeros_like(s)
+    for j in range(points.shape[1]):
+        diff = s * d[:, j]
+        diff += p[:, j]
+        np.subtract(xs[:, j, None], diff, out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
+def _certify_style_samples(sys, orbit, per_radius, seed):
+    """On-surface points around x* at the seven far-field radii, each
+    radius spread by a random factor in [0.5, 2]."""
+    chart = SurfaceChart.build(sys, orbit.x_star)
+    z_star = chart.project(orbit.x_star)
+    rng = np.random.default_rng(seed)
+    xs = []
+    for r in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0):
+        for _ in range(per_radius):
+            direction = rng.normal(size=z_star.size)
+            scale = r * orbit.diameter * rng.uniform(0.5, 2.0) / np.linalg.norm(direction)
+            xs.append(chart.embed(z_star + scale * direction))
+    return xs
+
+
+class TestNewtonRefine:
+    @pytest.mark.parametrize("model_name", ["linear-reset", "rimless-wheel"])
+    def test_matches_golden_section_reference(self, model_name, request):
+        sysd = request.getfixturevalue(model_name.split("-")[0] + "_sys")
+        orb = request.getfixturevalue(model_name.split("-")[0] + "_orbit")
+        for x in _certify_style_samples(sysd, orb, 12, seed=21):
+            d, _ = dist_to_orbit(orb, x)
+            d_ref = _golden_dist(orb, x)
+            assert d <= d_ref + 1e-12 * max(1.0, d_ref)
+            assert abs(d - d_ref) <= 1e-12 * d_ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau_frac=st.floats(0.0, 1.0), log_off=st.floats(-9.0, -1.0),
+           angle=st.floats(0.0, 2.0 * math.pi))
+    def test_near_orbit_points_match_reference(self, rimless_orbit, tau_frac, log_off, angle):
+        orb = rimless_orbit
+        x = orb.eval(tau_frac * orb.t_star) + 10.0 ** log_off * np.array([math.cos(angle),
+                                                                        math.sin(angle)])
+        d, taus = dist_to_orbit(orb, x)
+        d_ref = _golden_dist(orb, x)
+        assert d <= d_ref + 1e-12 * max(1.0, d_ref)
+        assert abs(d - d_ref) <= 1e-12 * max(1.0, d_ref)
+        # the distance is realized at a reported parameter value
+        realized = min(float(np.linalg.norm(x - orb.eval(t))) for t in taus)
+        assert realized <= d + 1e-9
+
+    def test_linear_reset_minimizer_to_tau_tolerance(self, linear_orbit):
+        # the timer coordinate is tau itself, so g'(tau) = 0 puts the nearest
+        # parameter of an interior point at x1 + (x2 - y2) y2' (y2 ~ 1e-11)
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            x = np.array([rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0)])
+            y, dy, _ = linear_orbit.segment.jet(x[0])
+            d, taus = dist_to_orbit(linear_orbit, x)
+            assert d == pytest.approx(abs(x[1] - y[1]), abs=1e-15)
+            assert len(taus) == 1
+            assert abs(taus[0] - (x[0] + (x[1] - y[1]) * dy[1])) <= 1e-12
+
+
+class TestChordCache:
+    def test_coarse_distances_bit_identical_to_per_call_geometry(self, rimless_orbit):
+        rng = np.random.default_rng(23)
+        xs = rimless_orbit.x_star + rng.uniform(-2.0, 2.0, size=(500, 2))
+        for x in xs:
+            want = np.sqrt(_chord_sq_distances_per_call(rimless_orbit.points, x[None, :])[0])
+            assert np.array_equal(rimless_orbit.coarse_distances(x), want)
+
+    def test_nearest_chords_bit_identical_to_per_call_geometry(self, rimless_orbit):
+        rng = np.random.default_rng(24)
+        xs = rimless_orbit.x_star + rng.uniform(-2.0, 2.0, size=(500, 2))
+        idx, dist = nearest_chords(rimless_orbit.chords, xs)
+        full = _chord_sq_distances_per_call(rimless_orbit.points, xs)
+        assert np.array_equal(idx, np.argmin(full, axis=1))
+        assert np.array_equal(dist, np.sqrt(np.min(full, axis=1)))
