@@ -1,13 +1,16 @@
-"""Behaviour lock: `orbit` and `certify-prop1` on the small linear-reset and
+"""Behaviour lock: every subcommand on the small linear-reset and
 rimless-wheel configs under tests/golden/ must reproduce the committed
-reports.
+outputs.
 
 Exit codes, labels and integer counts compare exactly.  Floats compare at
 1e-9 relative, with an absolute floor of 1e-10 for the rounding residue
 near zero (final Newton residuals, the upper margin, off-orbit components of
-x*), whose low digits carry no result.
+x*), whose low digits carry no result.  CSV cells are compared as numbers at
+the float tolerance, which is exact for their integer columns (indices,
+trial counts and tallies); headers compare exactly.  The `timestamp` of
+`meta.json` is ignored.
 
-The reports are the `orbit_report.json` and `prop1_report.json` that
+The outputs are the files that
 `sie <command> --config tests/golden/<model>/config.json --out <dir>` writes.
 Replace them only for a change argued as a behaviour change.
 """
@@ -24,10 +27,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-10
 
+OUTPUTS = {
+    "simulate": ("trajectory.csv", "impacts.csv", "meta.json"),
+    "orbit": ("orbit_report.json",),
+    "certify-prop1": ("prop1_report.json",),
+    "iss-sweep": ("cells.csv", "sweep_summary.json"),
+    "validate": ("validation.json",),
+}
+
 CASES = [(model, command, report)
          for model in ("linear-reset", "rimless-wheel")
-         for command, report in (("orbit", "orbit_report.json"),
-                                 ("certify-prop1", "prop1_report.json"))]
+         for command, reports in OUTPUTS.items() for report in reports]
 
 
 def _assert_same(want, got, where):
@@ -47,10 +57,41 @@ def _assert_same(want, got, where):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _load(path: Path):
+    if path.suffix == ".csv":
+        header, *rows = path.read_text().splitlines()
+        return {"header": header, "rows": [[_cell(c) for c in row.split(",")] for row in rows]}
+    data = json.loads(path.read_text())
+    if path.name == "meta.json":
+        data.pop("timestamp", None)
+    return data
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Each (model, command) runs once; its exit code and output directory
+    are shared by the per-file cases."""
+    done = {}
+
+    def run(model, command):
+        if (model, command) not in done:
+            out = tmp_path_factory.mktemp(f"{model}-{command}")
+            config = GOLDEN / model / "config.json"
+            done[model, command] = (cli.main([command, "--config", str(config),
+                                              "--out", str(out)]), out)
+        return done[model, command]
+    return run
+
+
 @pytest.mark.parametrize("model,command,report", CASES)
-def test_report_matches_golden(model, command, report, tmp_path):
-    config = GOLDEN / model / "config.json"
-    assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
-    want = json.loads((GOLDEN / model / report).read_text())
-    got = json.loads((tmp_path / report).read_text())
-    _assert_same(want, got, f"{model}/{report}")
+def test_report_matches_golden(model, command, report, runs):
+    code, out = runs(model, command)
+    assert code == 0
+    _assert_same(_load(GOLDEN / model / report), _load(out / report), f"{model}/{report}")
