@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: simulate | orbit | certify-prop1 | iss-sweep | validate.
-Configuration is a strict JSON document (unknown keys are errors), outputs
-are CSV files with a fixed 17-significant-digit format plus a JSON report;
-identical config and seed reproduce byte-identical CSVs.  The only
-timestamp lives in the meta report.
+Configuration is strict JSON read through one table, `_BLOCKS`: unknown,
+missing and malformed values (NaN included) are ConfigErrors, and an absent
+key takes the default of whatever receives the block.  Outputs are CSV files
+with a fixed 17-significant-digit format plus strict JSON reports (non-finite
+floats are null); identical config and seed reproduce byte-identical CSVs.
+The only timestamp lives in the meta report.
 
 Exit codes: 0 ok, 1 usage/config error, 2 guard termination,
 3 solver failure, 4 certification failure.
@@ -17,12 +19,14 @@ import datetime
 import json
 import math
 import sys as _sys
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import _rng
-from .core import ContinuousSignal, DiscreteSequence
+from .core import ContinuousSignal, DiscreteSequence, validate_system
 from .errors import (ChartSingular, ConfigError, InfiniteTimeToImpact,
                      NewtonDiverged, SieError)
 from .flow import IntegratorConfig
@@ -31,7 +35,6 @@ from .iss import SweepConfig, check_equivalence, fit_gain, run_sweep
 from .models import model
 from .orbit import Chords, UpperBoundViolation, build_orbit, certify_prop1, nearest_chords
 from .poincare import find_fixed_point, linearize
-from .core import validate_system
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -44,87 +47,171 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _require_keys(block: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(block)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+# ---------------------------------------------------------------------------
+# config reading: one table of blocks and keys, one reader
 
 
-def _signal_from_spec(spec: dict, dim: int, where: str) -> ContinuousSignal:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{where} must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "zero":
-        _require_keys(spec, {"kind"}, {"kind"}, where)
-        return ContinuousSignal.zero(dim)
-    if kind == "constant":
-        _require_keys(spec, {"kind", "value", "scale"}, {"kind", "value"}, where)
-        sig = ContinuousSignal.constant(spec["value"])
-    elif kind == "sinusoid":
-        _require_keys(spec, {"kind", "amplitude", "omega", "phase", "scale"},
-                      {"kind", "amplitude", "omega"}, where)
-        sig = ContinuousSignal.sinusoid(spec["amplitude"], spec["omega"], spec.get("phase", 0.0))
-    elif kind == "tabulated":
-        _require_keys(spec, {"kind", "times", "values", "scale"}, {"kind", "times", "values"}, where)
-        sig = ContinuousSignal.tabulated(spec["times"], spec["values"])
-    elif kind == "composite":
-        _require_keys(spec, {"kind", "parts", "scale"}, {"kind", "parts"}, where)
-        sig = ContinuousSignal.composite(
-            [_signal_from_spec(p, dim, f"{where}.parts[{i}]") for i, p in enumerate(spec["parts"])])
-    else:
-        raise ConfigError(f"{where}: unknown signal kind {kind!r}")
-    if sig.dim != dim:
-        raise ConfigError(f"{where}: dimension {sig.dim} does not match the model input dimension {dim}")
-    return sig.scaled(spec.get("scale", 1.0))
+def _coerce(step: str, fn, value):
+    """fn(value); a failure becomes a ConfigError at `step`, a key or index."""
+    try:
+        return fn(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{step}{exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{step}: {exc}") from None
 
 
-def _sequence_from_spec(spec: dict, dim: int, seed: int, where: str) -> DiscreteSequence:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{where} must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "zero":
-        _require_keys(spec, {"kind"}, {"kind"}, where)
-        return DiscreteSequence.zero(dim)
-    if kind == "constant":
-        _require_keys(spec, {"kind", "value", "scale"}, {"kind", "value"}, where)
-        seq = DiscreteSequence.constant(spec["value"])
-    elif kind == "iid-uniform":
-        _require_keys(spec, {"kind", "bound", "seed", "scale"}, {"kind", "bound"}, where)
-        seq = DiscreteSequence.iid_uniform(spec["bound"], seed=spec.get("seed", _rng.derive_seed(seed, 1)), dim=dim)
-    elif kind == "explicit":
-        _require_keys(spec, {"kind", "entries", "scale"}, {"kind", "entries"}, where)
-        seq = DiscreteSequence.explicit(spec["entries"])
-    else:
-        raise ConfigError(f"{where}: unknown sequence kind {kind!r}")
-    if seq.dim != dim:
-        raise ConfigError(f"{where}: dimension {seq.dim} does not match the model impulse dimension {dim}")
-    return seq.scaled(spec.get("scale", 1.0))
+def _fields(block, table) -> dict:
+    keys, required = table
+    if not isinstance(block, dict):
+        raise TypeError(f"expected an object, got {block!r:.60}")
+    unknown, missing = set(block) - set(keys), set(required) - set(block)
+    if unknown or missing:
+        raise ConfigError(f": {'unknown' if unknown else 'missing'} keys {sorted(unknown or missing)}")
+    return {key: _coerce(f".{key}", keys[key], value) for key, value in block.items()}
 
 
-def _integrator_from_config(cfg: dict) -> IntegratorConfig:
-    block = cfg.get("integrator", {})
-    _require_keys(block, {"rtol", "atol", "max_step", "max_steps", "blowup"}, set(), "integrator")
-    return IntegratorConfig(
-        rtol=block.get("rtol", 1e-9),
-        atol=block.get("atol", 1e-11),
-        max_step=block.get("max_step", math.inf),
-        max_steps=int(block.get("max_steps", 1_000_000)),
-        blowup=block.get("blowup", 1e8),
-    )
+def _real(v, finite: bool = True, positive: bool = False) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r:.60}")
+    if math.isnan(v) or finite and math.isinf(v) or positive and v <= 0:
+        raise ValueError(f"expected a {'positive' if positive else 'finite'} number, got {v!r}")
+    return float(v)
 
 
-def _guards_from_config(cfg: dict) -> GuardConfig:
-    block = cfg.get("guards", {})
-    _require_keys(block, {"k_max", "min_dwell"}, set(), "guards")
-    return GuardConfig(k_max=int(block.get("k_max", 10_000)),
-                       min_dwell=block.get("min_dwell"))
+def _int(v, low: int | None = None) -> int:
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r:.60}")
+    if low is not None and v < low:
+        raise ValueError(f"expected an integer of at least {low}, got {v}")
+    return v
 
 
+_seed = partial(_int, low=0)
+
+
+def _typed(cls, what: str):
+    def coerce(v):
+        if not isinstance(v, cls):
+            raise TypeError(f"expected {what}, got {v!r:.60}")
+        return v
+    return coerce
+
+
+def _reals(v) -> tuple:
+    """A list of finite numbers, kept as given: reports echo radii verbatim."""
+    for x in _typed(list, "a list of numbers")(v):
+        _real(x)
+    return tuple(v)
+
+
+def _point(v) -> np.ndarray:
+    return np.array(_reals(v), dtype=float)
+
+
+def _rows(v) -> tuple:
+    """Equal-length lists of finite numbers; a flat list is one row."""
+    flat = isinstance(v, list) and v and not isinstance(v[0], list)
+    rows = tuple(_reals(r) for r in _typed(list, "a list of rows")([v] if flat else v))
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows differ in length")
+    return rows
+
+
+def _params(v) -> dict:
+    return {key: _coerce(f".{key}", _real, x) for key, x in _typed(dict, "an object")(v).items()}
+
+
+def _orbit_samples(path) -> np.ndarray:
+    """The points of an `orbit_samples.csv` written by `orbit`."""
+    try:
+        data = np.atleast_2d(np.loadtxt(_typed(str, "a path")(path), delimiter=",", skiprows=1))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if len(data) < 2 or not np.isfinite(data).all():
+        raise ValueError(f"{path}: orbit_samples needs at least two finite samples")
+    return data[:, 1:]
+
+
+def _spec(kinds: dict):
+    """Coerce {"kind": k, ...} into (k, coerced arguments of kind k)."""
+    def spec(v):
+        kind = v.get("kind") if isinstance(v, dict) else None
+        if not (isinstance(kind, str) and kind in kinds):
+            raise ValueError(f"expected an object with a 'kind' among {sorted(kinds)}, "
+                             f"got {v!r:.60}")
+        return kind, _fields({k: x for k, x in v.items() if k != "kind"}, kinds[kind])
+    return spec
+
+
+def _parts(v) -> list:
+    return [_coerce(f"[{i}]", _spec(_SIGNALS), p) for i, p in enumerate(_typed(list, "a list")(v))]
+
+
+# block or kind -> ({key: coercion}, required keys); each default is left to
+# the dataclass or function that receives the coerced block
+_SCALE = {"scale": _real}
+_SIGNALS = {
+    "zero": ({}, ()),
+    "constant": ({"value": _reals, **_SCALE}, {"value"}),
+    "sinusoid": ({"amplitude": _reals, "omega": _real, "phase": _real, **_SCALE},
+                 {"amplitude", "omega"}),
+    "tabulated": ({"times": _reals, "values": _rows, **_SCALE}, {"times", "values"}),
+    "composite": ({"parts": _parts, **_SCALE}, {"parts"}),
+}
+_SEQUENCES = {
+    "zero": ({}, ()),
+    "constant": ({"value": _reals, **_SCALE}, {"value"}),
+    "iid-uniform": ({"bound": lambda v: _reals(v) if isinstance(v, list) else _real(v),
+                     "seed": _seed, **_SCALE}, {"bound"}),
+    "explicit": ({"entries": _rows, **_SCALE}, {"entries"}),
+}
+_SOLVE = {"guess": _point, "t_cap": _real}
+_BLOCKS = {
+    "model": ({"name": _typed(str, "a string"), "params": _params}, {"name"}),
+    "integrator": ({"rtol": _real, "atol": _real, "max_step": lambda v: _real(v, finite=False),
+                    "max_steps": _int, "blowup": lambda v: _real(v, finite=False)}, ()),
+    "guards": ({"k_max": _int, "min_dwell": lambda v: None if v is None else _real(v)}, ()),
+    "simulate": ({"x0": _point, "t_final": _real, "input": _spec(_SIGNALS),
+                  "impulses": _spec(_SEQUENCES), "sample_dt": lambda v: _real(v, positive=True),
+                  "orbit_samples": _orbit_samples}, {"x0", "t_final"}),
+    "orbit": (_SOLVE, {"guess"}),
+    "certify_prop1": ({**_SOLVE, "samples": _int, "radii": _reals,
+                       "far_field": _typed(bool, "true or false")}, {"guess", "samples"}),
+    "iss_sweep": ({**_SOLVE, "offsets": _reals, "u_amps": _reals, "v_amps": _reals,
+                   "trials": _int, "horizon_periods": _real, "transient_cutoff": _real,
+                   "u_template": _spec(_SIGNALS), "samples_per_step": _int,
+                   "pair_uv": _typed(bool, "true or false")},
+                  {"guess", "offsets", "u_amps", "v_amps"}),
+    "validate": ({"probes": _rows}, ()),
+}
 _TOP_KEYS = {"model", "seed", "integrator", "guards",
              "simulate", "orbit", "certify_prop1", "iss_sweep", "validate"}
+# blocks are read when a command uses them
+_TOP = ({**dict.fromkeys(_TOP_KEYS, lambda v: v), "seed": _seed}, {"model"})
+
+
+def _block(cfg: dict, name: str) -> dict:
+    return _coerce(name, lambda block: _fields(block, _BLOCKS[name]), cfg.get(name, {}))
+
+
+def _make(cls, spec: tuple, dim: int, seed: int, where: str):
+    """The ContinuousSignal or DiscreteSequence that a coerced spec names."""
+    kind, args = spec
+    scale = args.pop("scale", None)
+    if kind == "zero":
+        args["dim"] = dim
+    elif kind == "composite":
+        args["parts"] = [_make(cls, p, dim, seed, f"{where}.parts[{i}]")
+                         for i, p in enumerate(args["parts"])]
+    elif kind == "iid-uniform":
+        args.update(dim=dim, seed=args.get("seed", _rng.derive_seed(seed, 1)))
+    obj = getattr(cls, kind.replace("-", "_"))(**args)
+    if obj.dim != dim:
+        raise ConfigError(f"{where}: dimension {obj.dim} does not match the model's {dim}")
+    return obj if scale is None else obj.scaled(scale)
 
 
 def _load_config(path: str, seed_override: int | None) -> dict:
@@ -133,21 +220,24 @@ def _load_config(path: str, seed_override: int | None) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(cfg, _TOP_KEYS, {"model"}, "config")
-    _require_keys(cfg["model"], {"name", "params"}, {"name"}, "model")
-    if seed_override is not None:
+    if seed_override is not None and isinstance(cfg, dict):
         cfg["seed"] = seed_override
+    cfg = _coerce("config", lambda root: _fields(root, _TOP), cfg)
     cfg.setdefault("seed", 0)
     return cfg
 
 
 def _build_model(cfg: dict):
-    block = cfg["model"]
+    block = _block(cfg, "model")
     return model(block["name"], **block.get("params", {}))
+
+
+def _solve(sysdef, block: dict, icfg: IntegratorConfig):
+    """find_fixed_point from the block's guess and t_cap, taken out of it."""
+    t_cap = {"t_cap": block.pop("t_cap")} if "t_cap" in block else {}
+    return find_fixed_point(sysdef, block.pop("guess"), icfg, **t_cap)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -160,126 +250,88 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+def _plain(obj):
+    """A strict-JSON copy: arrays and tuples become lists, complex numbers
+    {re, im}, NumPy scalars floats and non-finite floats null."""
+    if isinstance(obj, dict):
+        return {key: _plain(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
-def _load_orbit_samples(path: str) -> np.ndarray:
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-    if len(data) < 2:
-        raise ConfigError(f"{path}: orbit_samples needs at least two samples")
-    return data[:, 1:]
+        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
+    if isinstance(obj, (float, np.floating, np.integer)):
+        return float(obj) if math.isfinite(obj) else None
+    return obj
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
-    block = cfg.get("simulate")
-    if block is None:
-        raise ConfigError("config needs a 'simulate' block")
-    _require_keys(block, {"x0", "t_final", "input", "impulses", "sample_dt", "orbit_samples"},
-                  {"x0", "t_final"}, "simulate")
-    x0 = np.asarray(block["x0"], dtype=float)
-    t_final = float(block["t_final"])
-    u = _signal_from_spec(block.get("input", {"kind": "zero"}), sysdef.p, "simulate.input")
-    vbar = _sequence_from_spec(block.get("impulses", {"kind": "zero"}), sysdef.q,
-                               cfg["seed"], "simulate.impulses")
-    icfg = _integrator_from_config(cfg)
-    guards = _guards_from_config(cfg)
-    traj = simulate(sysdef, x0, u, vbar, t_final, guards, icfg)
+    block = _block(cfg, "simulate")
+    u = _make(ContinuousSignal, block.get("input", ("zero", {})), sysdef.p, cfg["seed"],
+              "simulate.input")
+    vbar = _make(DiscreteSequence, block.get("impulses", ("zero", {})), sysdef.q, cfg["seed"],
+                 "simulate.impulses")
+    samples = block.get("orbit_samples")
+    if samples is not None and samples.shape[1] != sysdef.n:
+        raise ConfigError(f"simulate.orbit_samples: points of dimension {samples.shape[1]}")
+    traj = simulate(sysdef, block["x0"], u, vbar, block["t_final"], GuardConfig(**_block(cfg, "guards")),
+                    IntegratorConfig(**_block(cfg, "integrator")))
+    chords = Chords.of(samples) if samples is not None else None
 
-    chords = None
-    if "orbit_samples" in block:
-        chords = Chords.of(_load_orbit_samples(block["orbit_samples"]))
-
-    sample_dt = float(block.get("sample_dt", t_final / 1000.0))
-    header = ["t"] + [f"x_{i + 1}" for i in range(sysdef.n)]
-    if chords is not None:
-        header.append("dist_to_orbit")
-    header.append("segment_index")
+    sample_dt = block.get("sample_dt", block["t_final"] / 1000.0)
+    header = (["t"] + [f"x_{i + 1}" for i in range(sysdef.n)]
+              + (["dist_to_orbit"] if chords is not None else []) + ["segment_index"])
     rows = []
     for si, seg in enumerate(traj.segments):
-        ts = np.arange(seg.t0, seg.t1, sample_dt)
-        ts = np.concatenate([ts, [seg.t1]])
+        ts = np.append(np.arange(seg.t0, seg.t1, sample_dt), seg.t1)
         xs = np.array([seg.eval(min(t, seg.t1)) for t in ts])
         dists = nearest_chords(chords, xs)[1] if chords is not None else None
         for j, (t, x) in enumerate(zip(ts, xs)):
-            row = [t, *x]
-            if dists is not None:
-                row.append(dists[j])
-            row.append(si)
-            rows.append(row)
+            rows.append([t, *x, *([dists[j]] if dists is not None else []), si])
     _write_csv(out / "trajectory.csv", header, rows)
 
     iheader = (["k", "t_k"] + [f"x_minus_{i + 1}" for i in range(sysdef.n)]
                + [f"v_{i + 1}" for i in range(sysdef.q)]
                + [f"x_plus_{i + 1}" for i in range(sysdef.n)] + ["T_I_k"])
-    irows = []
-    prev_t = 0.0
-    for imp in traj.impacts:
-        irows.append([imp.k, imp.t, *imp.x_minus, *imp.v, *imp.x_plus, imp.t - prev_t])
-        prev_t = imp.t
+    starts = [0.0] + [imp.t for imp in traj.impacts]
+    irows = [[imp.k, imp.t, *imp.x_minus, *imp.v, *imp.x_plus, imp.t - t0]
+             for imp, t0 in zip(traj.impacts, starts)]
     _write_csv(out / "impacts.csv", iheader, irows)
 
     _write_json(out / "meta.json", {
-        "termination": traj.termination,
-        "error": traj.error,
-        "t_final": traj.t_final,
-        "impacts": len(traj.impacts),
-        "seed": cfg["seed"],
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    })
+        "termination": traj.termination, "error": traj.error, "t_final": traj.t_final,
+        "impacts": len(traj.impacts), "seed": cfg["seed"],
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()})
     if traj.termination == "horizon-reached":
         return _EXIT_OK
     if traj.termination in ("zeno-guard", "beating-guard", "escape"):
         return _EXIT_GUARD
+    print(f"error: {traj.error}", file=_sys.stderr)
     return _EXIT_CONFIG
 
 
 def _cmd_orbit(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
-    block = cfg.get("orbit")
-    if block is None:
-        raise ConfigError("config needs an 'orbit' block")
-    _require_keys(block, {"guess", "t_cap"}, {"guess"}, "orbit")
-    icfg = _integrator_from_config(cfg)
-    t_cap = float(block.get("t_cap", 100.0))
+    block = _block(cfg, "orbit")
+    icfg = IntegratorConfig(**_block(cfg, "integrator"))
     try:
-        report = find_fixed_point(sysdef, np.asarray(block["guess"], dtype=float), icfg, t_cap)
+        report = _solve(sysdef, block, icfg)
     except NewtonDiverged as exc:
         _write_json(out / "newton_trace.json", {
-            "message": str(exc),
-            "iterates": [list(map(float, z)) for z in exc.iterates],
-            "residuals": [float(r) for r in exc.residuals],
-        })
+            "message": str(exc), "iterates": exc.iterates, "residuals": exc.residuals})
         print(f"fixed-point solve failed: {exc}", file=_sys.stderr)
         return _EXIT_SOLVER
     report = linearize(sysdef, report, icfg)
     orb = build_orbit(sysdef, report, icfg)
 
-    _write_json(out / "orbit_report.json", {
-        "x_star": report.x_star,
-        "t_star": report.t_star,
-        "chart_dropped_coordinate": report.chart_j,
-        "newton_residuals": list(report.newton_residuals),
-        "jacobian": report.jacobian,
-        "fd_consistency": report.fd_consistency,
-        "eigenvalues": list(report.eigenvalues),
-        "spectral_radius": report.spectral_radius,
-        "verdict": report.verdict,
-        "orbit_diameter": orb.diameter,
-        "orbit_samples": len(orb.taus),
-        "seed": cfg["seed"],
-    })
+    fields = asdict(report)
+    fields["chart_dropped_coordinate"] = fields.pop("chart_j")
+    _write_json(out / "orbit_report.json", {**fields, "orbit_diameter": orb.diameter,
+                                             "orbit_samples": len(orb.taus), "seed": cfg["seed"]})
     header = ["tau"] + [f"x_{i + 1}" for i in range(sysdef.n)]
     rows = [[tau, *pt] for tau, pt in zip(orb.taus, orb.points)]
     _write_csv(out / "orbit_samples.csv", header, rows)
@@ -289,66 +341,29 @@ def _cmd_orbit(cfg: dict, out: Path) -> int:
 
 def _cmd_certify_prop1(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
-    block = cfg.get("certify_prop1")
-    if block is None:
-        raise ConfigError("config needs a 'certify_prop1' block")
-    _require_keys(block, {"guess", "t_cap", "samples", "radii", "far_field"},
-                  {"guess", "samples"}, "certify_prop1")
-    icfg = _integrator_from_config(cfg)
-    t_cap = float(block.get("t_cap", 100.0))
-    report = find_fixed_point(sysdef, np.asarray(block["guess"], dtype=float), icfg, t_cap)
-    orb = build_orbit(sysdef, report, icfg)
-    radii = tuple(block["radii"]) if "radii" in block else None
+    block = _block(cfg, "certify_prop1")
+    icfg = IntegratorConfig(**_block(cfg, "integrator"))
+    orb = build_orbit(sysdef, _solve(sysdef, block, icfg), icfg)
     code = _EXIT_OK
     try:
-        p1 = certify_prop1(orb, sysdef, int(block["samples"]), radii=radii,
-                           seed=cfg["seed"], far_field=bool(block.get("far_field", True)))
+        p1 = certify_prop1(orb, sysdef, block.pop("samples"), seed=cfg["seed"], **block)
     except UpperBoundViolation as exc:
-        p1 = exc.report
-        code = _EXIT_CERTIFY
-    _write_json(out / "prop1_report.json", {
-        "ratio_min": p1.ratio_min,
-        "violations": p1.violations,
-        "upper_margin": p1.upper_margin,
-        "n_samples": p1.n_samples,
-        "radii": list(p1.radii),
-        "per_radius_ratio_min": list(p1.per_radius_ratio_min),
-        "excluded": p1.excluded,
-        "seed": p1.seed,
-    })
+        p1, code = exc.report, _EXIT_CERTIFY
+    _write_json(out / "prop1_report.json", asdict(p1))
     print(f"ratio_min={_fmt(p1.ratio_min)} violations={p1.violations}")
     return code
 
 
 def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
-    block = cfg.get("iss_sweep")
-    if block is None:
-        raise ConfigError("config needs an 'iss_sweep' block")
-    _require_keys(block, {"guess", "t_cap", "offsets", "u_amps", "v_amps", "trials",
-                          "horizon_periods", "transient_cutoff", "u_template",
-                          "samples_per_step", "pair_uv"},
-                  {"guess", "offsets", "u_amps", "v_amps"}, "iss_sweep")
-    icfg = _integrator_from_config(cfg)
-    t_cap = float(block.get("t_cap", 100.0))
-    report = find_fixed_point(sysdef, np.asarray(block["guess"], dtype=float), icfg, t_cap)
-    orb = build_orbit(sysdef, report, icfg)
-    template = None
+    block = _block(cfg, "iss_sweep")
+    icfg = IntegratorConfig(**_block(cfg, "integrator"))
+    report = _solve(sysdef, block, icfg)
     if "u_template" in block:
-        template = _signal_from_spec(block["u_template"], sysdef.p, "iss_sweep.u_template")
-    sweep = SweepConfig(
-        offsets=tuple(block["offsets"]),
-        u_amps=tuple(block["u_amps"]),
-        v_amps=tuple(block["v_amps"]),
-        trials=int(block.get("trials", 20)),
-        horizon_periods=float(block.get("horizon_periods", 30.0)),
-        transient_cutoff=float(block.get("transient_cutoff", 0.5)),
-        seed=cfg["seed"],
-        u_template=template,
-        samples_per_step=int(block.get("samples_per_step", 24)),
-        pair_uv=bool(block.get("pair_uv", False)),
-    )
-    sw = run_sweep(sysdef, orb, report, sweep, icfg)
+        block["u_template"] = _make(ContinuousSignal, block["u_template"], sysdef.p, cfg["seed"],
+                                    "iss_sweep.u_template")
+    sweep = SweepConfig(**block, seed=cfg["seed"])
+    sw = run_sweep(sysdef, build_orbit(sysdef, report, icfg), report, sweep, icfg)
     verdict = check_equivalence(sw)
     header = ["offset", "u_amp", "v_amp", "trials", "ultimate_orbital",
               "ultimate_discrete", "peak", "zeno_guard", "beating_guard",
@@ -363,25 +378,15 @@ def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
     for stat in ("discrete", "orbital"):
         for axis in ("u", "v"):
             try:
-                g = fit_gain(sw, statistic=stat, axis=axis)
-                gains[f"{stat}_{axis}"] = {"slope": g.slope, "residual": g.residual}
+                gains[f"{stat}_{axis}"] = asdict(fit_gain(sw, statistic=stat, axis=axis))
             except SieError:
                 pass
+    equivalence = asdict(verdict)
+    del equivalence["pair_checks"]
     _write_json(out / "sweep_summary.json", {
-        "seed": sw.seed,
-        "trials": sw.trials,
-        "horizon_periods": sw.horizon_periods,
-        "transient_cutoff": sw.transient_cutoff,
-        "t_star": sw.t_star,
-        "equivalence": {
-            "monotone_ok": verdict.monotone_ok,
-            "factor_ok": verdict.factor_ok,
-            "zero_floor_ok": verdict.zero_floor_ok,
-            "factor": verdict.factor,
-            "floor": verdict.floor,
-        },
-        "gain_fits": gains,
-    })
+        **{key: getattr(sw, key) for key in ("seed", "trials", "horizon_periods",
+                                             "transient_cutoff", "t_star")},
+        "equivalence": equivalence, "gain_fits": gains})
     print(f"cells={len(sw.cells)} factor={_fmt(verdict.factor)} "
           f"monotone={verdict.monotone_ok} zero_floor={verdict.zero_floor_ok}")
     return _EXIT_OK
@@ -389,26 +394,14 @@ def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
 
 def _cmd_validate(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
-    block = cfg.get("validate", {})
-    _require_keys(block, {"probes"}, set(), "validate")
-    probes = [np.asarray(p, dtype=float) for p in block.get("probes", [])]
+    probes = [np.asarray(p, dtype=float) for p in _block(cfg, "validate").get("probes", ())]
     if not probes:
         rng = np.random.default_rng(cfg["seed"])
         probes = [rng.normal(size=sysdef.n) for _ in range(8)]
     report = validate_system(sysdef, probes)
     _write_json(out / "validation.json", {
-        "probes": [{
-            "index": p.index,
-            "f_finite": p.f_finite,
-            "delta_finite": p.delta_finite,
-            "h_finite": p.h_finite,
-            "grad_mismatch": p.grad_mismatch,
-            "on_surface": p.on_surface,
-            "degenerate_gradient": p.degenerate_gradient,
-        } for p in report.probes],
-        "max_grad_mismatch": report.max_grad_mismatch,
-        "degenerate_gradient_flagged": report.degenerate_gradient_flagged,
-    })
+        **asdict(report), "max_grad_mismatch": report.max_grad_mismatch,
+        "degenerate_gradient_flagged": report.degenerate_gradient_flagged})
     print(f"probes={len(report.probes)} max_grad_mismatch={_fmt(report.max_grad_mismatch)} "
           f"degenerate={report.degenerate_gradient_flagged}")
     return _EXIT_OK

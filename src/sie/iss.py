@@ -330,8 +330,6 @@ class GainFit:
 
     slope: float
     residual: float
-    statistic: str
-    axis: str
 
 
 def fit_gain(report: IssSweepReport, statistic: str = "discrete",
@@ -356,7 +354,7 @@ def fit_gain(report: IssSweepReport, statistic: str = "discrete",
     b = np.array([p[1] for p in pts])
     slope = float(a @ b / (a @ a))
     resid = float(np.sqrt(np.mean((b - slope * a) ** 2)))
-    return GainFit(slope=slope, residual=resid, statistic=statistic, axis=axis)
+    return GainFit(slope=slope, residual=resid)
 
 
 # ---------------------------------------------------------------------------

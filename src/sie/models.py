@@ -49,7 +49,10 @@ def _check_params(entry: ModelCatalogEntry, params: dict) -> dict:
     for key, val in params.items():
         if key not in entry.defaults:
             raise ParamOutOfRange(f"model {entry.name!r} has no parameter {key!r}")
-        merged[key] = float(val)
+        try:
+            merged[key] = float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ParamOutOfRange(f"{entry.name}: {key}={val!r:.60} is not a number") from None
     for key, (lo, hi) in entry.ranges.items():
         v = merged[key]
         if not (lo < v < hi) or not math.isfinite(v):

@@ -341,6 +341,8 @@ def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
         radii = tuple(r * orbit.diameter for r in (1e-3, 1e-2, 1e-1, 1.0))
         if far_field:
             radii = radii + tuple(r * orbit.diameter for r in (10.0, 100.0, 1000.0))
+    if not radii:
+        raise PreconditionError("need at least one radius")
     chart = SurfaceChart.build(sys, orbit.x_star)
     z_star = chart.project(orbit.x_star)
     if not z_star.size:

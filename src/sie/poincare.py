@@ -46,6 +46,8 @@ class SurfaceChart:
     @staticmethod
     def build(sys: HybridSystemDef, x_near: np.ndarray) -> "SurfaceChart":
         x_near = np.asarray(x_near, dtype=float)
+        if x_near.shape != (sys.n,):
+            raise PreconditionError(f"chart point has shape {x_near.shape}, not ({sys.n},)")
         grad = sys.surface_gradient(x_near)
         j = int(np.argmax(np.abs(grad)))
         if abs(grad[j]) < _CHART_MIN_GRAD:

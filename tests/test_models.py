@@ -31,6 +31,12 @@ def test_param_validation():
         models.model("rimless-wheel", alpha=2.0)
 
 
+@pytest.mark.parametrize("value", ["x", None, [0.3]])
+def test_non_numeric_param_is_out_of_range(value):
+    with pytest.raises(ParamOutOfRange):
+        models.model("rimless-wheel", alpha=value)
+
+
 def test_registration_checks_pass_and_label_negative_control():
     results = models.registration_checks()
     assert results["linear-reset"]["reset_strictly_inside"]

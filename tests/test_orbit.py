@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sie import models
-from sie.errors import ClosureError
+from sie.errors import ClosureError, PreconditionError
 from sie.iss import _orbital_deviation
 from sie.orbit import (_TAU_TOL_REL, _parabolic_min, build_orbit, certify_prop1,
                        dist_to_orbit, nearest_chords, refine_distance)
@@ -213,6 +213,10 @@ class TestCertifyProp1:
         assert rep.excluded == 5
         assert rep.n_samples == 10
         assert rep.per_radius_ratio_min[1] == pytest.approx(1.0, abs=1e-7)
+
+    def test_empty_radii_is_a_precondition_error(self, linear_sys, linear_orbit):
+        with pytest.raises(PreconditionError):
+            certify_prop1(linear_orbit, linear_sys, 5, radii=())
 
     def test_zero_direction_is_redrawn(self, linear_sys, linear_orbit, monkeypatch):
         # a direction of norm 0 must not use up a sample slot

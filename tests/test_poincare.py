@@ -141,6 +141,12 @@ class TestSurfaceChart:
         with pytest.raises(ChartSingular):
             SurfaceChart.build(sysd, np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("x_near", [[], [1.0], [1.0, 0.0, 0.0]])
+    def test_point_of_wrong_dimension_is_a_precondition_error(self, linear_sys, x_near):
+        # the linear-reset gradient is constant, so nothing else would notice
+        with pytest.raises(PreconditionError):
+            SurfaceChart.build(linear_sys, np.array(x_near))
+
     def test_eigenvalues_invariant_under_chart_choice(self):
         # rotate the model so the eliminated coordinate differs, then check
         # the on-surface eigenvalue is unchanged (similarity invariance)
