@@ -288,7 +288,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     rows = []
     for si, seg in enumerate(traj.segments):
         ts = np.append(np.arange(seg.t0, seg.t1, sample_dt), seg.t1)
-        xs = np.array([seg.eval(min(t, seg.t1)) for t in ts])
+        xs = seg.eval_many(ts)
         dists = nearest_chords(chords, xs)[1] if chords is not None else None
         for j, (t, x) in enumerate(zip(ts, xs)):
             rows.append([t, *x, *([dists[j]] if dists is not None else []), si])
@@ -358,12 +358,15 @@ def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
     block = _block(cfg, "iss_sweep")
     icfg = IntegratorConfig(**_block(cfg, "integrator"))
-    report = _solve(sysdef, block, icfg)
+    guards = GuardConfig(**_block(cfg, "guards"))
+    # the whole config is checked before the fixed-point solve
+    solve = {key: block.pop(key) for key in _SOLVE if key in block}
     if "u_template" in block:
         block["u_template"] = _make(ContinuousSignal, block["u_template"], sysdef.p, cfg["seed"],
                                     "iss_sweep.u_template")
     sweep = SweepConfig(**block, seed=cfg["seed"])
-    sw = run_sweep(sysdef, build_orbit(sysdef, report, icfg), report, sweep, icfg)
+    report = _solve(sysdef, solve, icfg)
+    sw = run_sweep(sysdef, build_orbit(sysdef, report, icfg), report, sweep, icfg, guards)
     verdict = check_equivalence(sw)
     header = ["offset", "u_amp", "v_amp", "trials", "ultimate_orbital",
               "ultimate_discrete", "peak", "zeno_guard", "beating_guard",

@@ -17,7 +17,7 @@ import numpy as np
 from .core import ContinuousSignal, HybridSystemDef
 from .errors import (GrazeDetected, InfiniteTimeToImpact, PreconditionError,
                      ResetNotInSPlus)
-from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment
+from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment, _quartic
 
 _SAMPLES_PER_STEP = 12
 _SCAN_STEPS = np.arange(_SAMPLES_PER_STEP, dtype=float)
@@ -52,22 +52,6 @@ def _graze_tol(sys: HybridSystemDef, x: np.ndarray, u_value: np.ndarray) -> floa
     return _GRAZE_REL * fn * gn
 
 
-def _record_eval(record, t: float) -> np.ndarray:
-    t_left, h, y_left, _y_right, Q = record
-    th = (t - t_left) / h
-    powers = np.array([th, th * th, th**3, th**4])
-    return y_left + h * (Q @ powers)
-
-
-def _record_eval_many(record, ts: np.ndarray) -> np.ndarray:
-    """`_record_eval` of a batch of times as one dense product, one row per
-    time."""
-    t_left, h, y_left, _y_right, Q = record
-    th = (ts - t_left) / h
-    powers = np.array([th, th * th, th**3, th**4]).T
-    return y_left + h * (powers @ Q.T)
-
-
 def _scan_times(t_lo: float, t_hi: float) -> np.ndarray:
     """np.linspace(t_lo, t_hi, _SAMPLES_PER_STEP), with the same arithmetic
     but without its call overhead."""
@@ -80,23 +64,22 @@ def _refine_in_record(sys, ufn, record, ta: float, tb: float) -> tuple[float, np
     """Bisect H to a relative width floor inside one dense record, then apply
     a single Newton polish with the flow derivative; returns
     (t_hit, x_minus, lfh, width)."""
+    t_left, h, y_left, _y_right, Q = record
     width_tol = _BISECT_REL_WIDTH * max(1.0, abs(tb))
     while (tb - ta) > width_tol:
         tm = 0.5 * (ta + tb)
-        if sys.eval_h(_record_eval(record, tm)) > 0.0:
+        if sys.eval_h(_quartic(t_left, h, y_left, Q, tm)) > 0.0:
             ta = tm
         else:
             tb = tm
     t_hit = 0.5 * (ta + tb)
-    x = _record_eval(record, t_hit)
+    x = _quartic(t_left, h, y_left, Q, t_hit)
     lfh = sys.lie_h(x, ufn(t_hit))
     if lfh != 0.0:
         t_polish = t_hit - sys.eval_h(x) / lfh
-        lo = record[0]
-        hi = record[0] + record[1]
-        if lo <= t_polish <= hi:
+        if t_left <= t_polish <= t_left + h:
             t_hit = t_polish
-            x = _record_eval(record, t_hit)
+            x = _quartic(t_left, h, y_left, Q, t_hit)
             lfh = sys.lie_h(x, ufn(t_hit))
     return t_hit, x, lfh, tb - ta
 
@@ -104,9 +87,9 @@ def _refine_in_record(sys, ufn, record, ta: float, tb: float) -> tuple[float, np
 def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, float, float] | None:
     """First downward sign change of H inside one step record; a hit within
     the dwell floor of from_t, the start of the search, is skipped."""
-    t_left, h, _y_left, y_right, _Q = record
+    t_left, h, y_left, y_right, Q = record
     ts = _scan_times(t_left, t_left + h)
-    xs = _record_eval_many(record, ts)
+    xs = _quartic(t_left, h, y_left, Q, ts)
     # the step's own end state, from which the next step starts: the dense
     # value at the step end can round to the other side of H = 0, and then
     # neither step brackets a crossing that sits on the node

@@ -88,49 +88,63 @@ class FlowSegment:
     def n(self) -> int:
         return self.ys.shape[1]
 
-    def _locate(self, t: float) -> int:
-        i = int(self.ts.searchsorted(t, "right")) - 1
-        return min(max(i, 0), len(self.ts) - 1)
+    def _jet(self, t):
+        """`_quartic` jet of the step holding each time; the values at and
+        beyond the segment's ends are its end nodes exactly.  Values come
+        from the jet even where only they are wanted, so `eval` and `jet`
+        agree bit for bit."""
+        i = self.ts[1:].searchsorted(t, "right")  # 0 before the first node
+        y, dy, ddy = _quartic(self.ts[i], self.hs[i], self.ys[i], self.qs[i], t, jet=True)
+        y[t <= self.t0] = self.ys[0]
+        y[t >= self.t1] = self.ys[-1]
+        return y, dy, ddy
+
+    def _check_span(self, t) -> None:
+        lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+        if lo < self.t0 - 1e-12 * max(1.0, abs(self.t0)) or hi > self.t1 + 1e-12 * max(1.0, abs(self.t1)):
+            raise PreconditionError(f"t={t!r} outside segment [{self.t0!r}, {self.t1!r}]")
 
     def eval(self, t: float) -> np.ndarray:
-        if t < self.t0 - 1e-12 * max(1.0, abs(self.t0)) or t > self.t1 + 1e-12 * max(1.0, abs(self.t1)):
-            raise PreconditionError(f"t={t!r} outside segment [{self.t0!r}, {self.t1!r}]")
-        if t <= self.t0:
-            return self.ys[0].copy()
-        if t >= self.t1:
-            return self.ys[-1].copy()
-        i = self._locate(t)
-        th = (t - self.ts[i]) / self.hs[i]
-        if th == 0.0:
-            return self.ys[i].copy()
-        powers = np.array([th, th * th, th**3, th**4])
-        return self.ys[i] + self.hs[i] * (self.qs[i] @ powers)
+        self._check_span(t)
+        return self._jet(t)[0]
 
-    def jet(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`eval(t)` and the first two t-derivatives of the quartic of the
-        step holding t; outside (t0, t1) the derivatives are those of the
-        nearest end."""
-        y = self.eval(t)
-        t = min(max(t, self.t0), self.t1)
-        i = self._locate(t)
-        h = self.hs[i]
-        th = (t - self.ts[i]) / h
-        d = self.qs[i] @ np.array([[1.0, 0.0], [2.0 * th, 2.0],
-                                   [3.0 * th * th, 6.0 * th], [4.0 * th**3, 12.0 * th * th]])
-        return y, d[:, 0], d[:, 1] / h
+    def jet(self, t):
+        """`eval` and the first two t-derivatives, for one time or an array
+        of times (one row each); outside (t0, t1) the derivatives are those
+        of the end step's quartic."""
+        self._check_span(t)
+        return self._jet(t)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Row-by-row `eval` of a batch of times, without the span check:
+        """`eval` of a batch of times, one row each, without the span check:
         times outside [t0, t1] return the end states."""
-        ts = np.asarray(ts, dtype=float)
-        idx = np.clip(np.searchsorted(self.ts, ts, side="right") - 1, 0, len(self.ts) - 1)
-        hs = self.hs[idx]
-        th = (ts - self.ts[idx]) / hs
-        powers = np.stack([th, th**2, th**3, th**4], axis=1)
-        out = self.ys[idx] + hs[:, None] * np.einsum("kij,kj->ki", self.qs[idx], powers)
-        out[ts <= self.t0] = self.ys[0]
-        out[ts >= self.t1] = self.ys[-1]
-        return out
+        return self._jet(np.asarray(ts, dtype=float))[0]
+
+
+def _quartic(t0, h, y0, q, t, jet: bool = False):
+    """Dense output of the step that starts at (t0, y0) with size h and
+    coefficient matrix q: y0 + h q [th, th^2, th^3, th^4] at th = (t - t0)/h,
+    with jet also its first two t-derivatives.  One step at one time or
+    many (t an array), or one time per step (every argument an array with
+    one row per step); a row of the second form is bit for bit the first
+    form at that one time."""
+    th = (t - t0) / h
+    t2 = th * th
+    t3 = t2 * th
+    # row l of the basis, times q, is the l-th t-derivative of y - y0
+    # times h^(l - 1)
+    rows = [[th, t2, t3, t2 * t2]]
+    if jet:
+        one = th ** 0  # shaped like th
+        rows += [[one, 2.0 * th, 3.0 * t2, 4.0 * t3], [0.0 * th, 2.0 * one, 6.0 * th, 12.0 * t2]]
+    basis = np.array(rows).T.swapaxes(-1, -2)  # (..., rows, 4)
+    if q.ndim == 2:  # one step: one product for all its times
+        d = np.dot(basis, q.T)
+    else:
+        d = basis @ np.swapaxes(q, -1, -2)
+        h = h[:, None]
+    y = y0 + h * d[..., 0, :]
+    return (y, d[..., 1, :], d[..., 2, :] / h) if jet else y
 
 
 class Stepper:

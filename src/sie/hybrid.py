@@ -28,6 +28,12 @@ class GuardConfig:
     min_dwell: float | None = None  # auto: 1e-6 * t_star if known, else 1e-9 * t_final
     t_star: float | None = None
 
+    def __post_init__(self):
+        if self.k_max < 0:
+            raise PreconditionError("k_max must be nonnegative")
+        if self.min_dwell is not None and self.min_dwell < 0:
+            raise PreconditionError("min_dwell must be nonnegative")
+
     def dwell_floor(self, t_final: float) -> float:
         if self.min_dwell is not None:
             return self.min_dwell

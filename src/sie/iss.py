@@ -12,7 +12,7 @@ linear fit through the origin that the local theory suggests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,10 +175,12 @@ def _trial_inputs(sys: HybridSystemDef, sweep: SweepConfig, u_amp: float,
 
 
 def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityReport,
-              sweep: SweepConfig, cfg: IntegratorConfig | None = None) -> IssSweepReport:
+              sweep: SweepConfig, cfg: IntegratorConfig | None = None,
+              guards: GuardConfig | None = None) -> IssSweepReport:
     """Simulate every cell of the sweep grid and summarize deviations.
 
-    Guard terminations are tallied per cell, never aborting the sweep.  The
+    Guard terminations are tallied per cell, never aborting the sweep; an
+    automatic dwell floor is 1e-6 T* of the report's period.  The
     per-trial RNG is derived from (seed, cell, trial) so results do not
     depend on execution order.  Raw deviation series are kept only for
     zero-input cells, which is what the decay fits need.
@@ -188,7 +190,7 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
     t_star = report.t_star
     t_final = sweep.horizon_periods * t_star
     t_post = sweep.transient_cutoff * t_final
-    guards = GuardConfig(t_star=t_star)
+    guards = replace(guards or GuardConfig(), t_star=t_star)
     cells: list[CellResult] = []
     for cell_index, (offset, u_amp, v_amp) in enumerate(sweep.cells()):
         trial_orb: list[float] = []

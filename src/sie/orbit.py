@@ -26,7 +26,6 @@ _DS_MAX_REL = 1e-3
 _TAU_TOL_REL = 1e-12
 _TAU_SET_TOL = 1e-9
 _BLOCK_ELEMENTS = 1 << 15  # row-chord pairs per nearest_chords block
-_REFINE_ROUNDS = 6
 _NEWTON_MAX_ITERS = 100  # bisecting a whole period to the tau tolerance takes 40
 
 
@@ -53,9 +52,6 @@ class PeriodicOrbit:
 
     def eval(self, tau: float) -> np.ndarray:
         return self.segment.eval(min(max(tau, 0.0), self.t_star))
-
-    def eval_many(self, taus: np.ndarray) -> np.ndarray:
-        return self.segment.eval_many(np.clip(taus, 0.0, self.t_star))
 
     @cached_property
     def chords(self) -> Chords:
@@ -180,6 +176,14 @@ def build_orbit(sys: HybridSystemDef, report: StabilityReport,
                          diameter=diameter, ds_max=ds_max)
 
 
+def _g_terms(r: np.ndarray, dy: np.ndarray, ddy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """g = ||r||^2 and half of g' and g'' for r = x - y(tau), from one
+    stacked product summed over the last axis: the same sums for one row or
+    many, so the batched refine repeats the scalar one bit for bit."""
+    rr, r_dy, dy_dy, r_ddy = (np.array([r, r, dy, r]) * np.array([r, dy, dy, ddy])).sum(axis=-1)
+    return rr, -r_dy, dy_dy - r_ddy
+
+
 def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tuple[float, float]:
     """Minimize g(tau) = ||x - y(tau)||^2 on [taus[j0], taus[j1]]: Newton's
     method on the dense jet from the bracket's nearest sample, bisecting
@@ -187,7 +191,7 @@ def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tup
     tolerance.  Returns (tau, distance) of the best point evaluated, the
     bracket's samples (its two ends among them) included."""
     nodes = orbit.points[j0:j1 + 1] - x
-    node_g = np.einsum("ij,ij->i", nodes, nodes)
+    node_g = (nodes * nodes).sum(axis=-1)
     k = int(np.argmin(node_g))
     best_g, best_t = float(node_g[k]), float(orbit.taus[j0 + k])
     a, b = orbit.taus[j0], orbit.taus[j1]
@@ -195,13 +199,10 @@ def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tup
     tol = _TAU_TOL_REL * max(1.0, orbit.t_star)
     for _ in range(_NEWTON_MAX_ITERS):
         y, dy, ddy = orbit.segment.jet(tau)
-        r = x - y
-        g = float(r @ r)
+        g, slope, curv = _g_terms(x - y, dy, ddy)
         if g < best_g:
             best_g, best_t = g, tau
-        # half of g' and g''; [a, b] keeps g' < 0 at a and g' > 0 at b
-        slope = -float(r @ dy)
-        curv = float(dy @ dy) - float(r @ ddy)
+        # [a, b] keeps g' < 0 at a and g' > 0 at b
         if slope < 0.0:
             a = tau
         elif slope > 0.0:
@@ -215,60 +216,47 @@ def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tup
     return best_t, math.sqrt(best_g)
 
 
-def _parabolic_min(ts, gs):
-    """Vertex of the parabola through three (t, g) samples, elementwise
-    when each of the three is an array; the middle t on degenerate input."""
-    (t0, t1, t2), (g0, g1, g2) = ts, gs
-    denom = (t1 - t0) * (g1 - g2) - (t1 - t2) * (g1 - g0)
-    flat = denom == 0.0
-    num = (t1 - t0) ** 2 * (g1 - g2) - (t1 - t2) ** 2 * (g1 - g0)
-    return np.where(flat, t1, t1 - 0.5 * num / np.where(flat, 1.0, denom))
+def _newton_refine_many(orbit: PeriodicOrbit, xs: np.ndarray, j0: np.ndarray,
+                        j1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_newton_refine` of each row of xs on its own bracket
+    [taus[j0[k]], taus[j1[k]]] (at most four samples), all rows at once:
+    one batched jet per iteration serves every live row and a row stops on
+    its own, so each row repeats the scalar result bit for bit."""
+    # the bracket's samples, its last one repeated in a shorter bracket
+    js = np.minimum(j0[:, None] + np.arange(4), j1[:, None])
+    nodes = orbit.points[js] - xs[:, None, :]
+    node_g = (nodes * nodes).sum(axis=-1)
+    rows = np.arange(len(xs))
+    k = np.argmin(node_g, axis=1)
+    best_g = node_g[rows, k]
+    best_t = orbit.taus[js[rows, k]]
+    a, b = orbit.taus[j0], orbit.taus[j1]
+    tau = best_t.copy()
+    tol = _TAU_TOL_REL * max(1.0, orbit.t_star)
+    for _ in range(_NEWTON_MAX_ITERS):
+        if not rows.size:
+            break
+        y, dy, ddy = orbit.segment.jet(tau)
+        g, slope, curv = _g_terms(xs[rows] - y, dy, ddy)
+        better = g < best_g[rows]
+        best_g[rows[better]] = g[better]
+        best_t[rows[better]] = tau[better]
+        a = np.where(slope < 0.0, tau, a)
+        b = np.where(slope > 0.0, tau, b)
+        nxt = tau - np.divide(slope, curv, out=np.full_like(tau, math.nan), where=curv > 0.0)
+        nxt = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
+        live = np.abs(nxt - tau) > tol
+        rows, tau, a, b = rows[live], nxt[live], a[live], b[live]
+    return best_t, np.sqrt(best_g)
 
 
 def refine_distance(orbit: PeriodicOrbit, xs: np.ndarray, i_chords: np.ndarray) -> np.ndarray:
-    """Cheap sharpening of the polyline distance of each row of xs near its
-    chord i_chords[k]: rounds of parabolic interpolation of
-    ||x - y(tau)||^2 on the dense interpolant, for all rows at once.  Always
-    an overestimate of the true curve distance (it evaluates actual curve
-    points), accurate to far below the chord sag."""
-    xs = np.asarray(xs, dtype=float)
-    i_chords = np.asarray(i_chords, dtype=np.intp)
-
-    def g(rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        d = xs[rows] - orbit.eval_many(taus)
-        return np.einsum("ij,ij->i", d, d)
-
-    lo = orbit.taus[np.maximum(i_chords - 1, 0)]
-    hi = orbit.taus[np.minimum(i_chords + 2, len(orbit.taus) - 1)]
-    rows = np.arange(len(xs))
-    ts = np.stack([lo, 0.5 * (lo + hi), hi])
-    gs = g(np.tile(rows, 3), ts.ravel()).reshape(3, -1)
-    first = np.argmin(gs, axis=0)
-    best_t = ts[first, rows]
-    best_g = gs[first, rows]
-    width = 0.5 * (hi - lo)
-    stop = 1e-12 * max(1.0, orbit.t_star)
-    # each round re-centers on the parabola vertex and shrinks the stencil,
-    # so the cubic-term bias of a single fit dies off geometrically; a row
-    # stops once its stencil is below the tau resolution
-    for round_ in range(_REFINE_ROUNDS):
-        if round_:
-            mid = best_t[rows]
-            ts = np.stack([np.maximum(lo[rows], mid - width), mid,
-                           np.minimum(hi[rows], mid + width)])
-            g_side = g(np.tile(rows, 2), ts[[0, 2]].ravel()).reshape(2, -1)
-            gs = np.stack([g_side[0], best_g[rows], g_side[1]])
-        t_new = np.clip(_parabolic_min(ts, gs), lo[rows], hi[rows])
-        g_new = g(rows, t_new)
-        better = g_new < best_g[rows]
-        best_t[rows[better]] = t_new[better]
-        best_g[rows[better]] = g_new[better]
-        width = 0.15 * width
-        live = width >= stop
-        rows, width = rows[live], width[live]
-        if not rows.size:
-            break
-    return np.sqrt(best_g)
+    """Distance from each row of xs to the orbit near its chord i_chords[k]:
+    the safeguarded Newton of `dist_to_orbit` on [taus[i - 1], taus[i + 2]],
+    batched over the rows."""
+    i = np.asarray(i_chords, dtype=np.intp)
+    return _newton_refine_many(orbit, np.asarray(xs, dtype=float), np.maximum(i - 1, 0),
+                               np.minimum(i + 2, len(orbit.taus) - 1))[1]
 
 
 def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[float]]:

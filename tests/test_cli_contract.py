@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sie import cli
 from sie.cli import main
 
 NAN = float("nan")
@@ -134,6 +135,10 @@ PROBES = {
     "integrator-list": ("simulate", _set("simulate", ("integrator",), [])),
     "k_max-list": ("simulate", _set("simulate", ("guards", "k_max"), [])),
     "min_dwell-string": ("simulate", _set("simulate", ("guards", "min_dwell"), "x")),
+    "k_max-negative": ("simulate", _set("simulate", ("guards", "k_max"), -1)),
+    "min_dwell-negative": ("simulate", _set("simulate", ("guards", "min_dwell"), -1e-6)),
+    "sweep-guards-unknown-key": ("iss-sweep", BASES["iss-sweep"]
+                                 | {"guards": {"k_max": 0, "bogus": 1}}),
     "t_final-string": ("simulate", _set("simulate", ("simulate", "t_final"), "x")),
     "sample_dt-zero": ("simulate", _set("simulate", ("simulate", "sample_dt"), 0)),
     "orbit_samples-missing": ("simulate", _set("simulate", ("simulate", "orbit_samples"),
@@ -206,3 +211,32 @@ def test_reports_are_strict_json_with_null_for_non_finite(tmp_path):
     assert report["excluded"] == report["n_samples"] == 6
     assert report["ratio_min"] is None
     assert report["per_radius_ratio_min"] == [None]
+
+
+def test_sweep_reads_the_guards_block(tmp_path):
+    # k_max 0 ends every trial at its first impact
+    cfg = BASES["iss-sweep"] | {"guards": {"k_max": 0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["iss-sweep", "--config", str(path), "--out", str(out)]) == 0
+    header, *rows = (out / "cells.csv").read_text().splitlines()
+    columns = header.split(",")
+    cells = [dict(zip(columns, row.split(","))) for row in rows]
+    assert len(cells) == 2
+    assert all(c["zeno_guard"] == "1" and c["trials"] == "0" for c in cells)
+
+
+@pytest.mark.parametrize("name,cfg", [
+    ("descending-offsets", _set("iss-sweep", ("iss_sweep", "offsets"), [0.1, 0.05])),
+    ("template-dimension", _set("iss-sweep", ("iss_sweep", "u_template"),
+                                {"kind": "constant", "value": [1.0, 2.0]})),
+    ("negative-k_max", BASES["iss-sweep"] | {"guards": {"k_max": -1}}),
+])
+def test_malformed_sweep_exits_before_the_fixed_point_solve(name, cfg, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("find_fixed_point ran on a malformed config")
+    monkeypatch.setattr(cli, "find_fixed_point", solve)
+    code, err = run("iss-sweep", cfg)
+    assert code == 1 and len(err.strip().splitlines()) == 1

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
 from sie.errors import GrazeDetected, PreconditionError, ResetNotInSPlus
-from sie.events import (_SAMPLES_PER_STEP, _graze_tol, _record_eval,
-                        _record_eval_many, _refine_in_record, _scan_record,
+from sie.events import (_SAMPLES_PER_STEP, _graze_tol, _refine_in_record, _scan_record,
                         _scan_times, first_crossing, time_to_impact)
-from sie.flow import IntegratorConfig, Stepper, integrate
+from sie.flow import IntegratorConfig, Stepper, _quartic, integrate
 from sie.hybrid import simulate
 from sie import models
 from tests.conftest import (RIMLESS_OMEGA_PLUS, RIMLESS_OMEGA_STAR,
@@ -85,11 +84,11 @@ class TestLocateCrossing:
 
 
 def _per_sample_scan(sys, ufn, record, from_t):
-    """Reference scan: np.linspace sample times and one `_record_eval` per
-    sample.  Returns (times, states, H values, hit)."""
-    t_left, h = record[0], record[1]
+    """Reference scan: np.linspace sample times and one scalar `_quartic`
+    per sample.  Returns (times, states, H values, hit)."""
+    t_left, h, y_left, _y_right, Q = record
     ts = np.linspace(t_left, t_left + h, _SAMPLES_PER_STEP)
-    xs = np.array([_record_eval(record, t) for t in ts])
+    xs = np.array([_quartic(t_left, h, y_left, Q, t) for t in ts])
     hs = [sys.eval_h(x) for x in xs]
     dwell_floor = 1e-11 * max(1.0, abs(from_t))
     for i in range(len(ts) - 1):
@@ -127,7 +126,7 @@ def test_batched_scan_matches_per_sample_scan(name):
         for from_t in (t_left, 0.0):
             ts_ref, xs_ref, hs_ref, hit_ref = _per_sample_scan(sys, ufn, record, from_t)
             ts = _scan_times(t_left, t_left + h)
-            xs = _record_eval_many(record, ts)
+            xs = _quartic(t_left, h, record[2], record[4], ts)
             assert np.array_equal(ts, ts_ref)
             scale = max(1.0, float(np.max(np.abs(xs_ref))))
             assert np.max(np.abs(xs - xs_ref)) <= 1e-15 * scale

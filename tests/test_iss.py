@@ -9,6 +9,7 @@ from sie.hybrid import GuardConfig, simulate
 from sie.iss import (CellResult, IssSweepReport, SweepConfig, TrialSeries,
                      _initial_state, _orbital_deviation, _window_sups,
                      check_equivalence, fit_decay, fit_gain, run_sweep)
+from sie.orbit import _newton_refine
 from tests.conftest import LN2, RIMLESS_EIG, scalar_traj_eval
 
 
@@ -94,8 +95,16 @@ class TestRunSweep:
 # -- per-sample reference for the batched window measurement ---------------
 
 
-def _reference_refine(orbit, x, i_chord):
-    """Scalar parabolic rounds on ||x - y(tau)||^2, one eval per point."""
+def _newton_reference(orbit, x, i_chord):
+    """The scalar safeguarded Newton of `dist_to_orbit` on the chord's
+    bracket [taus[i - 1], taus[i + 2]]."""
+    last = len(orbit.taus) - 1
+    return _newton_refine(orbit, x, max(i_chord - 1, 0), min(i_chord + 2, last))[1]
+
+
+def _parabolic_reference(orbit, x, i_chord):
+    """Scalar parabolic rounds on ||x - y(tau)||^2, one eval per point: the
+    near-orbit refine that the batched Newton replaced."""
     def g(tau):
         d = x - orbit.eval(tau)
         return float(d @ d)
@@ -126,22 +135,22 @@ def _reference_refine(orbit, x, i_chord):
     return math.sqrt(best_g)
 
 
-def _reference_deviation(orbit, x):
+def _reference_deviation(orbit, x, refine=_newton_reference):
     chord = orbit.coarse_distances(x)
     d = float(np.min(chord))
     if d < 5e-2:
-        d = min(_reference_refine(orbit, x, int(np.argmin(chord))),
+        d = min(refine(orbit, x, int(np.argmin(chord))),
                 float(np.linalg.norm(x - orbit.points[0])),
                 float(np.linalg.norm(x - orbit.x_star)))
     return d
 
 
-def _reference_window_sups(orbit, traj, edges, n_samples):
+def _reference_window_sups(orbit, traj, edges, n_samples, refine=_newton_reference):
     sups = []
     for t_lo, t_hi in zip(edges[:-1], edges[1:]):
         sup = 0.0
         for t in np.linspace(t_lo, t_hi, n_samples, endpoint=False):
-            sup = max(sup, _reference_deviation(orbit, scalar_traj_eval(traj, t)))
+            sup = max(sup, _reference_deviation(orbit, scalar_traj_eval(traj, t), refine))
         sups.append(sup)
     return np.array(sups)
 
@@ -164,6 +173,12 @@ def test_window_sups_match_per_sample_loop(case, request, sweep_cfg):
     batch = _window_sups(orbit, traj, edges, 24)
     ref = _reference_window_sups(orbit, traj, edges, 24)
     assert np.allclose(batch, ref, rtol=1e-12, atol=0.0)
+    # the batched Newton moves the parabolic rounds' sups by at most 1e-10
+    # relative, or, on the 1e-7 zero-input tails, by less than one rounding
+    # unit of the state coordinates, below which no distance is resolved
+    parabolic = _reference_window_sups(orbit, traj, edges, 24, _parabolic_reference)
+    ulp = np.finfo(float).eps * float(np.max(np.abs(orbit.points)))
+    assert np.allclose(batch, parabolic, rtol=1e-10, atol=ulp)
     # the zero-input tails reach the refined near-orbit regime
     assert case == "forced-rimless" or ref.min() < 1e-6
 

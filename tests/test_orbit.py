@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sie import models
 from sie.errors import ClosureError, PreconditionError
 from sie.iss import _orbital_deviation
-from sie.orbit import (_TAU_TOL_REL, _parabolic_min, build_orbit, certify_prop1,
-                       dist_to_orbit, nearest_chords, refine_distance)
+from sie.orbit import (_TAU_TOL_REL, _newton_refine, _newton_refine_many, build_orbit,
+                       certify_prop1, dist_to_orbit, nearest_chords, refine_distance)
 from sie.poincare import SurfaceChart, find_fixed_point
 from tests.conftest import RIMLESS_OMEGA_PLUS
 
@@ -261,6 +261,16 @@ class TestCertifyProp1:
 # -- references: the routines the Newton refine and the chord cache replaced --
 
 
+def _parabolic_min(ts, gs):
+    """Vertex of the parabola through three (t, g) samples; the middle t
+    on degenerate input."""
+    (t0, t1, t2), (g0, g1, g2) = ts, gs
+    denom = (t1 - t0) * (g1 - g2) - (t1 - t2) * (g1 - g0)
+    if denom == 0.0:
+        return t1
+    return t1 - 0.5 * ((t1 - t0) ** 2 * (g1 - g2) - (t1 - t2) ** 2 * (g1 - g0)) / denom
+
+
 def _golden_refine(orbit, x, lo, hi):
     """Reference: golden section on [lo, hi] to the tau tolerance, then one
     parabolic polish step."""
@@ -374,6 +384,34 @@ class TestNewtonRefine:
         # the distance is realized at a reported parameter value
         realized = min(float(np.linalg.norm(x - orb.eval(t))) for t in taus)
         assert realized <= d + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(model_name=st.sampled_from(["linear", "rimless"]),
+           points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-9.0, 1.0),
+                                     st.floats(0.0, 2.0 * math.pi),
+                                     st.sampled_from(["nearest", "first", "last"])),
+                           min_size=1, max_size=8))
+    def test_batched_rows_match_scalar_newton(self, linear_orbit, rimless_orbit,
+                                              model_name, points):
+        # near and far points in one batch, so rows stop at different
+        # iterations; "first" and "last" pin brackets touching tau = 0 and T*
+        orb = linear_orbit if model_name == "linear" else rimless_orbit
+        last = len(orb.taus) - 1
+        xs, chords = [], []
+        for tau_frac, log_off, angle, where in points:
+            x = orb.eval(tau_frac * orb.t_star) + 10.0 ** log_off * np.array([math.cos(angle),
+                                                                            math.sin(angle)])
+            xs.append(x)
+            chords.append({"nearest": int(np.argmin(orb.coarse_distances(x))),
+                           "first": 0, "last": last - 1}[where])
+        xs, chords = np.array(xs), np.array(chords)
+        j0, j1 = np.maximum(chords - 1, 0), np.minimum(chords + 2, last)
+        taus, dists = _newton_refine_many(orb, xs, j0, j1)
+        assert np.array_equal(refine_distance(orb, xs, chords), dists)
+        for x, a, b, tau, d in zip(xs, j0, j1, taus, dists):
+            tau_ref, d_ref = _newton_refine(orb, x, int(a), int(b))
+            assert tau == pytest.approx(tau_ref, rel=1e-13, abs=0.0)
+            assert d == pytest.approx(d_ref, rel=1e-13, abs=0.0)
 
     def test_linear_reset_minimizer_to_tau_tolerance(self, linear_orbit):
         # the timer coordinate is tau itself, so g'(tau) = 0 puts the nearest
