@@ -19,7 +19,7 @@ import datetime
 import json
 import math
 import sys as _sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -326,9 +326,10 @@ def _cmd_orbit(cfg: dict, out: Path) -> int:
         print(f"fixed-point solve failed: {exc}", file=_sys.stderr)
         return _EXIT_SOLVER
     report = linearize(sysdef, report, icfg)
-    orb = build_orbit(sysdef, report, icfg)
+    orb = build_orbit(sysdef, report)
 
-    fields = asdict(report)
+    fields = asdict(replace(report, segment=None))
+    del fields["segment"]
     fields["chart_dropped_coordinate"] = fields.pop("chart_j")
     _write_json(out / "orbit_report.json", {**fields, "orbit_diameter": orb.diameter,
                                              "orbit_samples": len(orb.taus), "seed": cfg["seed"]})
@@ -343,7 +344,7 @@ def _cmd_certify_prop1(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
     block = _block(cfg, "certify_prop1")
     icfg = IntegratorConfig(**_block(cfg, "integrator"))
-    orb = build_orbit(sysdef, _solve(sysdef, block, icfg), icfg)
+    orb = build_orbit(sysdef, _solve(sysdef, block, icfg))
     code = _EXIT_OK
     try:
         p1 = certify_prop1(orb, sysdef, block.pop("samples"), seed=cfg["seed"], **block)
@@ -366,7 +367,7 @@ def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
                                     "iss_sweep.u_template")
     sweep = SweepConfig(**block, seed=cfg["seed"])
     report = _solve(sysdef, solve, icfg)
-    sw = run_sweep(sysdef, build_orbit(sysdef, report, icfg), report, sweep, icfg, guards)
+    sw = run_sweep(sysdef, build_orbit(sysdef, report), report, sweep, icfg, guards)
     verdict = check_equivalence(sw)
     header = ["offset", "u_amp", "v_amp", "trials", "ultimate_orbital",
               "ultimate_discrete", "peak", "zeno_guard", "beating_guard",
@@ -397,8 +398,8 @@ def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
 
 def _cmd_validate(cfg: dict, out: Path) -> int:
     sysdef = _build_model(cfg)
-    probes = [np.asarray(p, dtype=float) for p in _block(cfg, "validate").get("probes", ())]
-    if not probes:
+    probes = _block(cfg, "validate").get("probes")
+    if probes is None:  # an empty list is passed on, and refused
         rng = np.random.default_rng(cfg["seed"])
         probes = [rng.normal(size=sysdef.n) for _ in range(8)]
     report = validate_system(sysdef, probes)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContinuousSignal, HybridSystemDef
-from .errors import (GrazeDetected, InfiniteTimeToImpact, PreconditionError,
-                     ResetNotInSPlus)
+from .errors import GrazeDetected, PreconditionError, ResetNotInSPlus
 from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment, _quartic
 
 _SAMPLES_PER_STEP = 12
@@ -124,15 +123,31 @@ def _endpoint_event(sys, ufn, t_end: float, x_end: np.ndarray):
 
 
 @dataclass(frozen=True)
-class CrossingSearch:
-    """Outcome of event-driven integration up to a crossing or a time cap."""
+class TimeToImpact:
+    """One crossing search: the segment integrated from the start state and
+    the first downward crossing it ends at, or event None when the flow did
+    not reach the surface before the cap.  Then time is math.inf (the
+    truncated 'otherwise' branch) and state None; otherwise time is the
+    crossing time on the search's clock and state the pre-impact state."""
 
     segment: FlowSegment
     event: ImpactEvent | None
 
+    @property
+    def finite(self) -> bool:
+        return self.event is not None
+
+    @property
+    def time(self) -> float:
+        return self.event.t_hit if self.finite else math.inf
+
+    @property
+    def state(self) -> np.ndarray | None:
+        return self.event.x_minus if self.finite else None
+
 
 def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
-                   t0: float, t_end: float, cfg: IntegratorConfig) -> CrossingSearch:
+                   t0: float, t_end: float, cfg: IntegratorConfig) -> TimeToImpact:
     """Integrate from (t0, x0) stopping at the first downward crossing of H.
 
     The returned segment is trimmed to end at the crossing time with the
@@ -151,25 +166,10 @@ def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
             event = ImpactEvent(t_hit=t_hit, x_minus=x, lfh=lfh, localization_width=width)
             seg = _build_segment(stepper.records, t0, t_hit, stepper.n_accepted,
                                  stepper.n_rejected, stepper.h_max, final_y=x)
-            return CrossingSearch(segment=seg, event=event)
+            return TimeToImpact(segment=seg, event=event)
     seg = _build_segment(stepper.records, t0, t_end, stepper.n_accepted,
                          stepper.n_rejected, stepper.h_max)
-    event = _endpoint_event(sys, ufn, t_end, seg.ys[-1])
-    return CrossingSearch(segment=seg, event=event)
-
-
-@dataclass(frozen=True)
-class TimeToImpact:
-    """Result of a time-to-impact query; time is math.inf when the flow never
-    returned to the surface before the cap (the truncated 'otherwise' branch)."""
-
-    time: float
-    state: np.ndarray | None
-    segment: FlowSegment
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.time)
+    return TimeToImpact(segment=seg, event=_endpoint_event(sys, ufn, t_end, seg.ys[-1]))
 
 
 def check_reset_side(sys: HybridSystemDef, x_plus: np.ndarray) -> float:
@@ -192,8 +192,9 @@ def check_reset_side(sys: HybridSystemDef, x_plus: np.ndarray) -> float:
 def time_to_impact(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
                    v: np.ndarray | None = None, cfg: IntegratorConfig | None = None,
                    t_cap: float = 100.0) -> TimeToImpact:
-    """Duration until the flow next reaches the surface, together with the
-    pre-impact state there.
+    """The crossing search from x: its time is the duration until the flow
+    next reaches the surface, its state the pre-impact state there and its
+    segment the flow in between.
 
     With a discrete input v, x must lie on the surface and the reset
     Delta(x, v) is applied first.  With v None, x must lie strictly above the
@@ -210,14 +211,4 @@ def time_to_impact(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
             raise PreconditionError(f"state is not on the surface: H={sys.eval_h(x):.3g}")
         x_start = sys.eval_delta(x, np.asarray(v, dtype=float))
         check_reset_side(sys, x_start)
-    search = first_crossing(sys, x_start, u, 0.0, t_cap, cfg or IntegratorConfig())
-    if search.event is None:
-        return TimeToImpact(time=math.inf, state=None, segment=search.segment)
-    return TimeToImpact(time=search.event.t_hit, state=search.event.x_minus,
-                        segment=search.segment)
-
-
-def require_finite(result: TimeToImpact, t_cap: float) -> TimeToImpact:
-    if not result.finite:
-        raise InfiniteTimeToImpact(t_cap)
-    return result
+    return first_crossing(sys, x_start, u, 0.0, t_cap, cfg or IntegratorConfig())

@@ -56,8 +56,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise PreconditionError("rtol and atol must be positive")
-        if self.max_step <= 0:
-            raise PreconditionError("max_step must be positive")
+        if self.max_step <= 0 or self.blowup <= 0:
+            raise PreconditionError("max_step and blowup must be positive")
+        if self.max_steps < 1:
+            raise PreconditionError("max_steps must be at least 1")
 
     def tightened(self, rtol: float, atol: float) -> "IntegratorConfig":
         return replace(self, rtol=min(self.rtol, rtol), atol=min(self.atol, atol))

@@ -17,9 +17,8 @@ import numpy as np
 
 from .core import HybridSystemDef
 from .errors import ClosureError, PreconditionError, SieError
-from .events import check_reset_side
-from .flow import FlowSegment, IntegratorConfig, integrate
-from .poincare import StabilityReport, SurfaceChart, zero_inputs
+from .flow import FlowSegment
+from .poincare import StabilityReport, SurfaceChart
 
 _CLOSURE_REL = 1e-8
 _DS_MAX_REL = 1e-3
@@ -122,23 +121,19 @@ def nearest_chords(chords: Chords, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx, np.sqrt(sq)
 
 
-def build_orbit(sys: HybridSystemDef, report: StabilityReport,
-                cfg: IntegratorConfig | None = None) -> PeriodicOrbit:
-    """Integrate the zero-input flow from the reset image over one period and
-    refine samples until consecutive points are closer than ds_max, which is
-    _DS_MAX_REL times the orbit diameter.
+def build_orbit(sys: HybridSystemDef, report: StabilityReport) -> PeriodicOrbit:
+    """Sample the report's orbit segment, the zero-input flow from the reset
+    image of x* over one period that `find_fixed_point` integrated, and
+    refine the samples until consecutive points are closer than ds_max,
+    which is _DS_MAX_REL times the orbit diameter.  Nothing is integrated.
 
-    Raises ClosureError when the flow fails to return to the fixed point,
+    Raises ClosureError when the segment fails to return to the fixed point,
     which indicates a stale or unconverged report.
     """
-    if not report.newton_residuals:
-        raise PreconditionError("build_orbit needs a converged report")
-    cfg = (cfg or IntegratorConfig()).tightened(1e-12, 1e-14)
-    u0, v0 = zero_inputs(sys)
+    if not report.newton_residuals or report.segment is None:
+        raise PreconditionError("build_orbit needs a converged report with its orbit segment")
+    seg = report.segment
     x_star = np.asarray(report.x_star, dtype=float)
-    x_plus = sys.eval_delta(x_star, v0)
-    check_reset_side(sys, x_plus)
-    seg = integrate(sys, x_plus, u0, (0.0, report.t_star), cfg)
     closure = float(np.linalg.norm(seg.ys[-1] - x_star))
     scale = max(1.0, float(np.linalg.norm(x_star)))
     if closure > _CLOSURE_REL * scale:

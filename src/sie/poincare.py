@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ContinuousSignal, HybridSystemDef, central_difference
-from .errors import ChartSingular, NewtonDiverged, PreconditionError
-from .events import require_finite, time_to_impact
-from .flow import IntegratorConfig
+from .errors import ChartSingular, InfiniteTimeToImpact, NewtonDiverged, PreconditionError
+from .events import TimeToImpact, time_to_impact
+from .flow import FlowSegment, IntegratorConfig
 
 # Map evaluations behind Newton and the Jacobian columns run at least this
 # tight regardless of the caller's trajectory tolerances; the convergence
@@ -79,6 +79,10 @@ class SurfaceChart:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """A fixed point x* of the zero-input section map, its period T* and
+    segment, the flow of Newton's converged map evaluation from the reset
+    image of x* to the crossing at T*: the orbit that `build_orbit` refines."""
+
     x_star: np.ndarray
     t_star: float
     chart_j: int
@@ -88,6 +92,7 @@ class StabilityReport:
     eigenvalues: tuple[complex, ...] = ()
     spectral_radius: float = math.nan
     verdict: str = ""  # LES | LAS-marginal | unstable
+    segment: FlowSegment | None = None
 
 
 def zero_inputs(sys: HybridSystemDef) -> tuple[ContinuousSignal, np.ndarray]:
@@ -96,12 +101,16 @@ def zero_inputs(sys: HybridSystemDef) -> tuple[ContinuousSignal, np.ndarray]:
 
 def poincare_map(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
                  v: np.ndarray, cfg: IntegratorConfig | None = None,
-                 t_cap: float = 100.0) -> np.ndarray:
-    """Pre-impact state of the next downward crossing after resetting x with v
-    and flowing under u.  Raises InfiniteTimeToImpact when the flow never
-    returns before t_cap."""
-    result = require_finite(time_to_impact(sys, x, u, v, cfg, t_cap), t_cap)
-    return result.state
+                 t_cap: float = 100.0) -> TimeToImpact:
+    """P(x, u, v) = phi(T_I(Delta(x, v)), Delta(x, v)): the crossing after
+    resetting x with v and flowing under u.  Its state is P(x), the pre-impact
+    state of the next downward crossing, its time the return time and its
+    segment the flow between.  Raises InfiniteTimeToImpact when the flow
+    never returns before t_cap."""
+    crossing = time_to_impact(sys, x, u, v, cfg, t_cap)
+    if not crossing.finite:
+        raise InfiniteTimeToImpact(t_cap)
+    return crossing
 
 
 def _map_cfg(cfg: IntegratorConfig | None) -> IntegratorConfig:
@@ -115,29 +124,28 @@ def find_fixed_point(sys: HybridSystemDef, x_guess: np.ndarray,
 
     Converges when the chart residual drops below 1e-10 * max(1, |z|); a
     plain halving line search guards each step and the iterate history is
-    attached to both the report and any divergence error.
+    attached to both the report and any divergence error.  The converged
+    residual's map evaluation supplies T* and the orbit segment.
     """
     mcfg = _map_cfg(cfg)
     chart = SurfaceChart.build(sys, np.asarray(x_guess, dtype=float))
     u0, v0 = zero_inputs(sys)
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        x = chart.embed(z)
-        return chart.project(poincare_map(sys, x, u0, v0, mcfg, t_cap)) - z
+    def residual(z: np.ndarray) -> tuple[np.ndarray, TimeToImpact]:
+        crossing = poincare_map(sys, chart.embed(z), u0, v0, mcfg, t_cap)
+        return chart.project(crossing.state) - z, crossing
 
     z = chart.project(chart.x_ref)
     iterates = [z.copy()]
-    fz = residual(z)
+    fz, crossing = residual(z)
     res = float(np.linalg.norm(fz))
     residuals = [res]
 
     for _ in range(_NEWTON_MAX_ITER):
         if res <= _NEWTON_TOL_REL * max(1.0, float(np.linalg.norm(z))):
-            x_star = chart.embed(z)
-            t_star = require_finite(time_to_impact(sys, x_star, u0, v0, mcfg, t_cap), t_cap).time
-            return StabilityReport(x_star=x_star, t_star=t_star, chart_j=chart.j,
-                                   newton_residuals=tuple(residuals))
-        J = central_difference(residual, z, _FD_STEP)
+            return StabilityReport(x_star=chart.embed(z), t_star=crossing.time, chart_j=chart.j,
+                                   newton_residuals=tuple(residuals), segment=crossing.segment)
+        J = central_difference(lambda z: residual(z)[0], z, _FD_STEP)
         try:
             dz = np.linalg.solve(J, -fz)
         except np.linalg.LinAlgError as exc:
@@ -145,10 +153,10 @@ def find_fixed_point(sys: HybridSystemDef, x_guess: np.ndarray,
         scale_step = 1.0
         for _ in range(_LINESEARCH_MAX_HALVINGS):
             z_try = z + scale_step * dz
-            f_try = residual(z_try)
+            f_try, c_try = residual(z_try)
             r_try = float(np.linalg.norm(f_try))
             if r_try < res:
-                z, fz, res = z_try, f_try, r_try
+                z, fz, res, crossing = z_try, f_try, r_try, c_try
                 iterates.append(z.copy())
                 residuals.append(res)
                 break
@@ -179,7 +187,7 @@ def linearize(sys: HybridSystemDef, report: StabilityReport,
     u0, v0 = zero_inputs(sys)
 
     def chart_map(z: np.ndarray) -> np.ndarray:
-        return chart.project(poincare_map(sys, chart.embed(z), u0, v0, mcfg, cap))
+        return chart.project(poincare_map(sys, chart.embed(z), u0, v0, mcfg, cap).state)
 
     J = central_difference(chart_map, z_star, _FD_STEP)
     J_half = central_difference(chart_map, z_star, _FD_STEP / 2.0)

@@ -42,6 +42,16 @@ def rimless_report(rimless_sys):
 
 
 @pytest.fixture(scope="session")
+def vdp_sys():
+    return models.model("vdp-adapter", mu=0.2)
+
+
+@pytest.fixture(scope="session")
+def vdp_report(vdp_sys):
+    return find_fixed_point(vdp_sys, np.array([2.0, 0.0]), t_cap=20.0)
+
+
+@pytest.fixture(scope="session")
 def linear_orbit(linear_sys, linear_report):
     return build_orbit(linear_sys, linear_report)
 

@@ -131,6 +131,8 @@ def _set(command, path, value):
 PROBES = {
     "max_steps-infinity": ("simulate", _set("simulate", ("integrator", "max_steps"), float("inf"))),
     "max_steps-string": ("simulate", _set("simulate", ("integrator", "max_steps"), "x")),
+    "max_steps-zero": ("simulate", _set("simulate", ("integrator", "max_steps"), 0)),
+    "blowup-negative": ("simulate", _set("simulate", ("integrator", "blowup"), -1)),
     "rtol-string": ("simulate", _set("simulate", ("integrator", "rtol"), "x")),
     "integrator-list": ("simulate", _set("simulate", ("integrator",), [])),
     "k_max-list": ("simulate", _set("simulate", ("guards", "k_max"), [])),
@@ -154,6 +156,7 @@ PROBES = {
     "model-name-list": ("simulate", _set("simulate", ("model", "name"), [])),
     "radii-empty": ("certify-prop1", _set("certify-prop1", ("certify_prop1", "radii"), [])),
     "validate-list": ("validate", _set("validate", ("validate",), [])),
+    "validate-probes-empty": ("validate", _set("validate", ("validate", "probes"), [])),
 }
 
 
@@ -164,6 +167,15 @@ def test_probe_config_exits_one_with_a_message(name):
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(("config error: ", "error: "))
+
+
+@pytest.mark.parametrize("name,message", [
+    ("max_steps-zero", "error: max_steps must be at least 1"),
+    ("blowup-negative", "error: max_step and blowup must be positive"),
+    ("validate-probes-empty", "error: validate_system needs at least one probe state"),
+])
+def test_config_mistake_is_named_not_run(name, message):
+    assert run(*PROBES[name]) == (1, message + "\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "certify-prop1"])

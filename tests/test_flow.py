@@ -119,6 +119,12 @@ def test_blowup_carries_partial_segment():
     assert exc.value.norm >= 1e6
 
 
+@pytest.mark.parametrize("field", [{"blowup": 0.0}, {"blowup": -1.0}, {"max_steps": 0}])
+def test_invalid_config_is_a_precondition_error(field):
+    with pytest.raises(PreconditionError):
+        IntegratorConfig(**field)
+
+
 def test_invalid_span_and_state(linear_sys):
     with pytest.raises(PreconditionError):
         integrate(linear_sys, np.array([0.0, 1.0]), U0, (1.0, 1.0))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sie import models
 from sie.errors import ClosureError, PreconditionError
+from sie.flow import IntegratorConfig, Stepper, integrate
 from sie.iss import _orbital_deviation
 from sie.orbit import (_TAU_TOL_REL, _newton_refine, _newton_refine_many, build_orbit,
                        certify_prop1, dist_to_orbit, nearest_chords, refine_distance)
-from sie.poincare import SurfaceChart, find_fixed_point
+from sie.poincare import SurfaceChart, find_fixed_point, zero_inputs
 from tests.conftest import RIMLESS_OMEGA_PLUS
 
 
@@ -43,6 +43,49 @@ class TestBuildOrbit:
         with pytest.raises(ClosureError):
             build_orbit(linear_sys, bad)
 
+    def test_report_without_segment_is_a_precondition_error(self, linear_sys, linear_report):
+        with pytest.raises(PreconditionError):
+            build_orbit(linear_sys, replace(linear_report, segment=None))
+
+    def test_integrates_nothing(self, linear_sys, linear_report, monkeypatch):
+        made = []
+        init = Stepper.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Stepper, "__init__", counting_init)
+        build_orbit(linear_sys, linear_report)
+        assert made == []
+        # the counter does see the integrations of a solve
+        find_fixed_point(linear_sys, np.array([1.0, 0.7]), t_cap=10.0)
+        assert made
+
+
+def _reintegrated_orbit(sysd, report):
+    """Reference: the orbit from one more integration of the zero-input flow
+    from the reset image of x* over exactly [0, T*] at the map tolerances,
+    in place of the segment of Newton's converged map evaluation."""
+    u0, v0 = zero_inputs(sysd)
+    seg = integrate(sysd, sysd.eval_delta(report.x_star, v0), u0, (0.0, report.t_star),
+                    IntegratorConfig(rtol=1e-12, atol=1e-14))
+    return build_orbit(sysd, replace(report, segment=seg))
+
+
+@pytest.mark.parametrize("sys_name,report_name", [
+    ("linear_sys", "linear_report"), ("rimless_sys", "rimless_report"), ("vdp_sys", "vdp_report")])
+def test_orbit_matches_a_reintegrated_orbit(sys_name, report_name, request):
+    sysd, rep = request.getfixturevalue(sys_name), request.getfixturevalue(report_name)
+    orb, ref = build_orbit(sysd, rep), _reintegrated_orbit(sysd, rep)
+    assert np.array_equal(orb.taus, ref.taus)
+    scale = max(1.0, float(np.linalg.norm(rep.x_star)))
+    assert np.max(np.abs(orb.points - ref.points)) <= 1e-12 * scale
+    # the search took its last step whole and trimmed it at T*, where the
+    # integration shortened it to end there; the steps before are the same
+    before = orb.taus < rep.segment.ts[-1]
+    assert np.array_equal(orb.points[before], ref.points[before])
+
 
 def _depth_first_refine(seg, nodes, ds_max, t_star):
     """Reference refinement: split intervals recursively, depth first, with
@@ -65,9 +108,8 @@ def _depth_first_refine(seg, nodes, ds_max, t_star):
 
 
 @pytest.fixture(scope="module")
-def vdp_orbit():
-    sysd = models.model("vdp-adapter", mu=0.2)
-    return build_orbit(sysd, find_fixed_point(sysd, np.array([2.0, 0.0]), t_cap=20.0))
+def vdp_orbit(vdp_sys, vdp_report):
+    return build_orbit(vdp_sys, vdp_report)
 
 
 @pytest.mark.parametrize("orbit_fixture", ["linear_orbit", "rimless_orbit", "vdp_orbit"])

@@ -6,8 +6,9 @@ import pytest
 from sie.core import ContinuousSignal, HybridSystemDef
 from sie.errors import (ChartSingular, InfiniteTimeToImpact, NewtonDiverged,
                         PreconditionError, SieError)
-from sie.poincare import (SurfaceChart, find_fixed_point, linearize,
-                          poincare_map)
+from sie.events import time_to_impact
+from sie.poincare import (SurfaceChart, _map_cfg, find_fixed_point, linearize,
+                          poincare_map, zero_inputs)
 from sie import models
 from tests.conftest import (RIMLESS_EIG, RIMLESS_OMEGA_STAR,
                             RIMLESS_T_STAR, RIMLESS_THETA_IMPACT)
@@ -35,17 +36,17 @@ def rotated_linear_reset(angle: float) -> HybridSystemDef:
 class TestPoincareMap:
     def test_linear_reset_closed_form(self, linear_sys):
         for x2 in (0.0, 0.4, -0.9):
-            out = poincare_map(linear_sys, np.array([1.0, x2]), U0, np.zeros(1), t_cap=5.0)
+            out = poincare_map(linear_sys, np.array([1.0, x2]), U0, np.zeros(1), t_cap=5.0).state
             assert out[1] == pytest.approx(0.5 * x2, abs=1e-9)
 
     def test_fixed_point_identity(self, linear_sys, rimless_sys, rimless_report):
-        out = poincare_map(linear_sys, np.array([1.0, 0.0]), U0, np.zeros(1), t_cap=5.0)
+        out = poincare_map(linear_sys, np.array([1.0, 0.0]), U0, np.zeros(1), t_cap=5.0).state
         assert np.allclose(out, [1.0, 0.0], atol=1e-8)
-        out = poincare_map(rimless_sys, rimless_report.x_star, U0, np.zeros(1), t_cap=5.0)
+        out = poincare_map(rimless_sys, rimless_report.x_star, U0, np.zeros(1), t_cap=5.0).state
         assert np.allclose(out, rimless_report.x_star, atol=1e-8)
 
     def test_discrete_input(self, linear_sys):
-        out = poincare_map(linear_sys, np.array([1.0, 0.0]), U0, np.array([0.2]), t_cap=5.0)
+        out = poincare_map(linear_sys, np.array([1.0, 0.0]), U0, np.array([0.2]), t_cap=5.0).state
         assert out[1] == pytest.approx(0.1, abs=1e-9)
 
 
@@ -70,6 +71,20 @@ class TestFindFixedPoint:
         for r_prev, r_next in zip(res[:-1], res[1:]):
             if 1e-7 < r_prev < 1e-2:
                 assert r_next <= 10.0 * r_prev ** 2
+
+    @pytest.mark.parametrize("sys_name,report_name,t_cap", [
+        ("linear_sys", "linear_report", 10.0), ("rimless_sys", "rimless_report", 10.0),
+        ("vdp_sys", "vdp_report", 20.0)])
+    def test_t_star_and_segment_come_from_the_converged_map_evaluation(
+            self, sys_name, report_name, t_cap, request):
+        # the same flow as a separate time-to-impact query from x*, bit for bit
+        sysd, rep = request.getfixturevalue(sys_name), request.getfixturevalue(report_name)
+        u0, v0 = zero_inputs(sysd)
+        again = time_to_impact(sysd, rep.x_star, u0, v0, _map_cfg(None), t_cap)
+        assert rep.t_star == again.time
+        assert rep.segment.t0 == 0.0 and rep.segment.t1 == rep.t_star
+        assert np.array_equal(rep.segment.ys, again.segment.ys)
+        assert np.array_equal(rep.segment.qs, again.segment.qs)
 
     def test_vdp_mu0_converges_immediately(self):
         sysd = models.model("vdp-adapter", mu=0.0)
