@@ -18,7 +18,11 @@ import numpy as np
 from . import _rng
 from .errors import EvaluatorFailure, PreconditionError
 
-_PROBE_SURFACE_TOL = 1e-8  # |H| below this, relative to max(1, |x|), is on the surface
+_SURFACE_TOL = 1e-8  # |H| below this, relative to max(1, |x|), is on the surface
+
+
+def surface_tol(x: np.ndarray) -> float:
+    return _SURFACE_TOL * max(1.0, float(np.max(np.abs(x))))
 
 
 def euclidean(x: np.ndarray) -> float:
@@ -378,7 +382,7 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
         if sys.grad_h is not None:
             fd = sys._fd_gradient(x)
             mismatch = euclidean(grad - fd) / max(1.0, euclidean(fd))
-        on_surface = abs(hv) <= _PROBE_SURFACE_TOL * max(1.0, float(np.max(np.abs(x))))
+        on_surface = abs(hv) <= surface_tol(x)
         degenerate = on_surface and euclidean(grad) < 1e-12
         results.append(ProbeResult(
             index=idx,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContinuousSignal, HybridSystemDef
+from .core import ContinuousSignal, HybridSystemDef, surface_tol
 from .errors import GrazeDetected, PreconditionError, ResetNotInSPlus
 from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment, _quartic
 
@@ -23,18 +23,13 @@ _SCAN_STEPS = np.arange(_SAMPLES_PER_STEP, dtype=float)
 _BISECT_REL_WIDTH = 1e-13
 _GRAZE_REL = 1e-8
 
-# on-surface membership is judged more loosely than event localization so
-# states produced by a previous localization re-enter preconditions cleanly
+# events are localized more tightly than core.surface_tol judges membership,
+# so states produced by a previous localization re-enter preconditions cleanly
 _EVENT_TOL = 1e-10
-_SURFACE_TOL = 1e-8
 
 
 def event_tol(x: np.ndarray) -> float:
     return _EVENT_TOL * max(1.0, float(np.max(np.abs(x))))
-
-
-def surface_tol(x: np.ndarray) -> float:
-    return _SURFACE_TOL * max(1.0, float(np.max(np.abs(x))))
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     segment covers [t0, t_end] and event is None.
     """
     stepper = Stepper(sys, x0, u, t0, t_end, cfg)
-    ufn = u.compile()
+    ufn = stepper.ufn
     while not stepper.done:
         record = stepper.step()
         # the dwell floor belongs to the start of the search, not to each

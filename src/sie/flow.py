@@ -54,10 +54,12 @@ class IntegratorConfig:
     blowup: float = 1e8
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):  # NaN fails every check
             raise PreconditionError("rtol and atol must be positive")
-        if self.max_step <= 0 or self.blowup <= 0:
+        if not (self.max_step > 0 and self.blowup > 0):
             raise PreconditionError("max_step and blowup must be positive")
+        if not isinstance(self.max_steps, (int, np.integer)):
+            raise PreconditionError("max_steps must be an integer")
         if self.max_steps < 1:
             raise PreconditionError("max_steps must be at least 1")
 
@@ -156,7 +158,7 @@ class Stepper:
 
     def __init__(self, sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
                  t0: float, t_end: float, cfg: IntegratorConfig):
-        if t_end <= t0:
+        if not t_end > t0:  # also NaN
             raise PreconditionError("integration span must have positive length")
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (sys.n,) or not np.all(np.isfinite(x0)):
@@ -166,7 +168,7 @@ class Stepper:
         self.t = float(t0)
         self.t_end = float(t_end)
         self.y = x0.copy()
-        ufn = u.compile()
+        self.ufn = ufn = u.compile()
         self._rhs = lambda t, y: sys.eval_f(y, ufn(t))
         self._k1 = self._rhs(self.t, self.y)
         self._h = self._initial_step()

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContinuousSignal, DiscreteSequence, HybridSystemDef
+from .core import ContinuousSignal, DiscreteSequence, HybridSystemDef, surface_tol
 from .errors import (Blowup, GrazeDetected, PreconditionError, ResetNotInSPlus,
                      SieError)
-from .events import check_reset_side, first_crossing, surface_tol
+from .events import check_reset_side, first_crossing
 from .flow import FlowSegment, IntegratorConfig
 
 
@@ -29,10 +29,12 @@ class GuardConfig:
     t_star: float | None = None
 
     def __post_init__(self):
-        if self.k_max < 0:
-            raise PreconditionError("k_max must be nonnegative")
-        if self.min_dwell is not None and self.min_dwell < 0:
+        if not isinstance(self.k_max, (int, np.integer)) or self.k_max < 0:
+            raise PreconditionError("k_max must be a nonnegative integer")
+        if self.min_dwell is not None and not self.min_dwell >= 0:  # also NaN
             raise PreconditionError("min_dwell must be nonnegative")
+        if self.t_star is not None and not self.t_star > 0:
+            raise PreconditionError("t_star must be positive")
 
     def dwell_floor(self, t_final: float) -> float:
         if self.min_dwell is not None:
@@ -99,7 +101,7 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     numerical failures terminate the trajectory with a labelled termination
     instead of raising.
     """
-    if t_final <= 0:
+    if not t_final > 0:  # also NaN
         raise PreconditionError("t_final must be positive")
     guards = guards or GuardConfig()
     cfg = cfg or IntegratorConfig()

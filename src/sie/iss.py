@@ -17,17 +17,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _rng
-from .core import ContinuousSignal, DiscreteSequence, HybridSystemDef
+from .core import ContinuousSignal, DiscreteSequence, HybridSystemDef, surface_tol
 from .errors import FitDegenerate, PreconditionError
 from .flow import IntegratorConfig
 from .hybrid import GuardConfig, HybridTrajectory, simulate
-from .orbit import PeriodicOrbit, nearest_chords, refine_distance
+from .orbit import PeriodicOrbit, orbital_deviations
 from .poincare import StabilityReport
 
 _ZERO_FLOOR = 1e-6
 _FIT_FLOOR = 1e-9  # decay-fit points at or below this are integration noise
 _N_BOOT = 300
-_REFINE_BELOW = 5e-2  # refine the polyline distance once deviations are small
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,15 @@ class SweepConfig:
             vals = getattr(self, name)
             if not vals:
                 raise PreconditionError(f"{name} must be non-empty")
-            if any(v < 0 for v in vals) or list(vals) != sorted(vals):
+            if not all(v >= 0 for v in vals) or list(vals) != sorted(vals):
                 raise PreconditionError(f"{name} must be nonnegative and ascending")
         if not (0.0 < self.transient_cutoff < 1.0):
             raise PreconditionError("transient_cutoff must lie in (0, 1)")
-        if self.trials < 1 or self.horizon_periods <= 0:
-            raise PreconditionError("trials and horizon must be positive")
-        if self.samples_per_step < 1:
-            raise PreconditionError("samples_per_step must be at least 1")
+        ints = (self.trials, self.samples_per_step, self.seed)
+        if not all(isinstance(v, (int, np.integer)) for v in ints):
+            raise PreconditionError("trials, samples_per_step and seed must be integers")
+        if self.trials < 1 or self.samples_per_step < 1 or not self.horizon_periods > 0:
+            raise PreconditionError("trials, samples_per_step and horizon_periods must be positive")
         if self.pair_uv and len(self.u_amps) != len(self.v_amps):
             raise PreconditionError("pair_uv needs matching u_amps and v_amps lengths")
 
@@ -109,25 +109,8 @@ class IssSweepReport:
         raise KeyError((offset, u_amp, v_amp))
 
 
-def _orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
-    """dist(x, orbit) for each row of xs: the nearest-chord distance,
-    sharpened on the interpolant for rows closer than _REFINE_BELOW so decay
-    fits stay clean near the numerical floor (the chord value carries the
-    polyline sag)."""
-    i_chord, dev = nearest_chords(orbit.chords, xs)
-    near = np.flatnonzero(dev < _REFINE_BELOW)
-    if near.size:
-        x = xs[near]
-        dev[near] = np.minimum.reduce([
-            refine_distance(orbit, x, i_chord[near]),
-            np.linalg.norm(x - orbit.points[0], axis=1),
-            np.linalg.norm(x - orbit.x_star, axis=1),
-        ])
-    return dev
-
-
 def _orbital_deviation(orbit: PeriodicOrbit, x: np.ndarray) -> float:
-    return float(_orbital_deviations(orbit, np.asarray(x, dtype=float)[None, :])[0])
+    return float(orbital_deviations(orbit, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _window_sups(orbit: PeriodicOrbit, traj: HybridTrajectory, edges: np.ndarray,
@@ -139,14 +122,12 @@ def _window_sups(orbit: PeriodicOrbit, traj: HybridTrajectory, edges: np.ndarray
     computed with the same arithmetic for all windows at once."""
     lo = edges[:-1, None]
     ts = np.arange(n_samples) * ((edges[1:, None] - lo) / n_samples) + lo
-    dev = _orbital_deviations(orbit, traj.eval_many(ts.ravel()))
+    dev = orbital_deviations(orbit, traj.eval_many(ts.ravel()))
     return np.max(dev.reshape(ts.shape), axis=1)
 
 
 def _initial_state(orbit: PeriodicOrbit, sys: HybridSystemDef, offset: float,
                    rng: np.random.Generator) -> np.ndarray:
-    from .events import surface_tol
-
     for _ in range(32):
         tau = rng.uniform(0.0, orbit.t_star)
         base = orbit.eval(tau)

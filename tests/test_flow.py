@@ -5,7 +5,7 @@ import pytest
 
 from sie.core import ContinuousSignal, HybridSystemDef
 from sie.errors import Blowup, PreconditionError, StepLimitExceeded
-from sie.flow import IntegratorConfig, integrate
+from sie.flow import IntegratorConfig, Stepper, integrate
 from sie import models
 from tests.conftest import LN2
 
@@ -119,7 +119,10 @@ def test_blowup_carries_partial_segment():
     assert exc.value.norm >= 1e6
 
 
-@pytest.mark.parametrize("field", [{"blowup": 0.0}, {"blowup": -1.0}, {"max_steps": 0}])
+@pytest.mark.parametrize("field", [
+    {"blowup": 0.0}, {"blowup": -1.0}, {"max_steps": 0},
+    {"rtol": math.nan}, {"atol": math.nan}, {"max_step": math.nan}, {"blowup": math.nan},
+    {"max_steps": 2.5}, {"max_steps": math.nan}, {"max_steps": 10.0}])
 def test_invalid_config_is_a_precondition_error(field):
     with pytest.raises(PreconditionError):
         IntegratorConfig(**field)
@@ -130,6 +133,16 @@ def test_invalid_span_and_state(linear_sys):
         integrate(linear_sys, np.array([0.0, 1.0]), U0, (1.0, 1.0))
     with pytest.raises(PreconditionError):
         integrate(linear_sys, np.array([math.nan, 1.0]), U0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("span", [(0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)])
+def test_nan_span_is_rejected_before_stepping(linear_sys, span):
+    # a NaN span end would otherwise step up to max_steps
+    cfg = IntegratorConfig(max_steps=10)
+    with pytest.raises(PreconditionError):
+        Stepper(linear_sys, np.array([0.0, 1.0]), U0, *span, cfg)
+    with pytest.raises(PreconditionError):
+        integrate(linear_sys, np.array([0.0, 1.0]), U0, span, cfg)
 
 
 def test_eval_many_matches_row_by_row_eval(rimless_sys):

@@ -119,6 +119,21 @@ class TestGuards:
         assert abs(len(traj.impacts) - 12) <= 2
 
 
+@pytest.mark.parametrize("field", [
+    {"k_max": 2.5}, {"k_max": math.nan}, {"min_dwell": math.nan},
+    {"t_star": 0.0}, {"t_star": math.nan}])
+def test_invalid_guard_config_is_a_precondition_error(field):
+    # a NaN min_dwell would turn the dwell guard off
+    with pytest.raises(PreconditionError):
+        GuardConfig(**field)
+
+
+@pytest.mark.parametrize("t_final", [0.0, math.nan])
+def test_invalid_horizon_is_a_precondition_error(linear_sys, t_final):
+    with pytest.raises(PreconditionError):
+        simulate(linear_sys, np.array([0.0, 0.3]), U0, V0, t_final)
+
+
 def test_replaying_impacts_through_time_to_impact(linear_sys):
     u = ContinuousSignal.sinusoid([0.05], omega=4.0)
     vbar = DiscreteSequence.iid_uniform(0.02, seed=5, dim=1)

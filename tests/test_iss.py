@@ -33,6 +33,14 @@ class TestSweepConfig:
         with pytest.raises(PreconditionError):
             small_sweep(samples_per_step=0)
 
+    @pytest.mark.parametrize("field", [
+        {"trials": 2.5}, {"trials": 5.0}, {"samples_per_step": 2.5}, {"seed": 1.5},
+        {"horizon_periods": math.nan}, {"transient_cutoff": math.nan},
+        {"offsets": (math.nan,)}, {"u_amps": (0.0, math.nan)}, {"v_amps": (math.nan, 0.1)}])
+    def test_nan_and_non_integer_values_rejected(self, field):
+        with pytest.raises(PreconditionError):
+            small_sweep(**field)
+
     def test_cells_cross_and_paired(self):
         cfg = small_sweep(u_amps=(0.0, 0.1), v_amps=(0.0, 0.2))
         assert len(cfg.cells()) == 4

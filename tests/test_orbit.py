@@ -3,14 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sie.errors import ClosureError, PreconditionError
 from sie.flow import IntegratorConfig, Stepper, integrate
-from sie.iss import _orbital_deviation
-from sie.orbit import (_TAU_TOL_REL, _newton_refine, _newton_refine_many, build_orbit,
-                       certify_prop1, dist_to_orbit, nearest_chords, refine_distance)
+import sie.orbit as orbit_mod
+from sie.orbit import (_TAU_TOL_REL, Prop1Report, UpperBoundViolation, _newton_refine,
+                       _newton_refine_many, build_orbit, certify_prop1, dist_to_orbit,
+                       nearest_chords, orbital_deviations, refine_distance)
 from sie.poincare import SurfaceChart, find_fixed_point, zero_inputs
 from tests.conftest import RIMLESS_OMEGA_PLUS
 
@@ -192,10 +193,10 @@ class TestDistToOrbit:
         d, taus = dist_to_orbit(orb, x)
         assert d == pytest.approx(0.2, abs=1e-9)
         assert taus[0] == pytest.approx(0.5, abs=1e-6)
-        assert _orbital_deviation(orb, x) == pytest.approx(0.2, abs=1e-9)
-        # next to the repeated sample the refined near-orbit path runs
+        # the sweep's batched query: far (chord only) and near (refined) rows
         x_near = orb.points[k] + np.array([0.0, 1e-3])
-        assert _orbital_deviation(orb, x_near) == pytest.approx(1e-3, abs=1e-9)
+        assert orbital_deviations(orb, np.array([x, x_near])) == pytest.approx([0.2, 1e-3],
+                                                                              abs=1e-9)
         idx, dist = nearest_chords(orb.chords, np.array([orb.points[k]]))
         assert dist[0] == 0.0 and idx[0] in (k - 1, k, k + 1)
 
@@ -218,6 +219,112 @@ class TestDistToOrbit:
         for i, j in idx:
             if abs(taus[i] - taus[j]) > 2.0 * rimless_orbit.ds_max / speed_min:
                 assert float(np.linalg.norm(pts[i] - pts[j])) > 1e-4 * rimless_orbit.diameter
+
+
+def _reference_certify(orbit, sysd, n_samples, radii, seed):
+    """certify_prop1 written as one loop over the samples with running
+    accumulators, the reference for its draw, measure and reduce passes.  It
+    queries through the module, so a patched dist_to_orbit reaches it too."""
+    chart = SurfaceChart.build(sysd, orbit.x_star)
+    z_star = chart.project(orbit.x_star)
+    rng = np.random.default_rng(seed)
+    per_radius = n_samples // len(radii) + (1 if n_samples % len(radii) else 0)
+    ratio_min, worst_margin = math.inf, -math.inf
+    violations = used = excluded = 0
+    first_violation = None
+    per_radius_min = []
+    for r in radii:
+        r_min = math.inf
+        for _ in range(per_radius):
+            if used >= n_samples:
+                break
+            nrm = 0.0
+            while nrm == 0.0:
+                direction = rng.normal(size=z_star.size)
+                nrm = float(np.linalg.norm(direction))
+            x = chart.embed(z_star + (r / nrm) * direction)
+            dx = float(np.linalg.norm(x - orbit.x_star))
+            used += 1
+            if dx < 1e-12:
+                excluded += 1
+                continue
+            d, _ = orbit_mod.dist_to_orbit(orbit, x)
+            margin = d - dx
+            worst_margin = max(worst_margin, margin)
+            if margin > 1e-9:
+                violations += 1
+                if first_violation is None:
+                    first_violation = (x, margin)
+            ratio = d / dx
+            ratio_min = min(ratio_min, ratio)
+            r_min = min(r_min, ratio)
+        per_radius_min.append(r_min)
+    report = Prop1Report(ratio_min=ratio_min, violations=violations,
+                         upper_margin=worst_margin, n_samples=used, radii=tuple(radii),
+                         seed=seed, per_radius_ratio_min=tuple(per_radius_min),
+                         excluded=excluded)
+    if violations:
+        raise UpperBoundViolation(*first_violation, report)
+    return report
+
+
+_CERTIFY_CASES = dict(
+    model_name=st.sampled_from(["linear", "rimless"]),
+    n_samples=st.integers(1, 40),
+    # 1e-14 puts samples within 1e-12 of x*, which are excluded
+    radii=st.lists(st.one_of(st.just(1e-14), st.floats(1e-6, 1e3)), min_size=1, max_size=5),
+    seed=st.integers(0, 2**63 - 1))
+
+
+class TestCertifyPasses:
+    """The draw, measure and reduce passes of certify_prop1 against the
+    per-sample loop they replaced: every report field is equal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_CERTIFY_CASES)
+    def test_report_matches_per_sample_loop(self, linear_sys, rimless_sys, linear_orbit,
+                                            rimless_orbit, model_name, n_samples, radii, seed):
+        sysd, orb = ((linear_sys, linear_orbit) if model_name == "linear"
+                     else (rimless_sys, rimless_orbit))
+        rep = certify_prop1(orb, sysd, n_samples, radii=tuple(radii), seed=seed)
+        assert rep == _reference_certify(orb, sysd, n_samples, radii, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_CERTIFY_CASES, picks=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+    def test_same_first_violation_as_per_sample_loop(self, linear_sys, rimless_sys,
+                                                     linear_orbit, rimless_orbit, model_name,
+                                                     n_samples, radii, seed, picks):
+        sysd, orb = ((linear_sys, linear_orbit) if model_name == "linear"
+                     else (rimless_sys, rimless_orbit))
+        rep = certify_prop1(orb, sysd, n_samples, radii=tuple(radii), seed=seed)
+        queries = rep.n_samples - rep.excluded
+        assume(queries >= 2)
+        chosen = {picks[0] % queries, (picks[0] + 1 + picks[1] % (queries - 1)) % queries}
+        real = orbit_mod.dist_to_orbit
+
+        def overshooting():
+            calls = []
+
+            def query(orbit, x):
+                d, taus = real(orbit, x)
+                calls.append(x)
+                if len(calls) - 1 in chosen:
+                    d = float(np.linalg.norm(x - orbit.x_star)) + 1e-6
+                return d, taus
+            return query
+
+        raised = []
+        with pytest.MonkeyPatch.context() as mp:
+            for certify in (certify_prop1, _reference_certify):
+                mp.setattr(orbit_mod, "dist_to_orbit", overshooting())
+                with pytest.raises(UpperBoundViolation) as exc:
+                    certify(orb, sysd, n_samples, radii=tuple(radii), seed=seed)
+                raised.append(exc.value)
+        new, ref = raised
+        assert np.array_equal(new.x, ref.x)
+        assert new.excess == ref.excess
+        assert new.report == ref.report
+        assert new.report.violations == 2
 
 
 class TestCertifyProp1:
@@ -259,6 +366,11 @@ class TestCertifyProp1:
     def test_empty_radii_is_a_precondition_error(self, linear_sys, linear_orbit):
         with pytest.raises(PreconditionError):
             certify_prop1(linear_orbit, linear_sys, 5, radii=())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_is_a_precondition_error(self, linear_sys, linear_orbit, bad):
+        with pytest.raises(PreconditionError):
+            certify_prop1(linear_orbit, linear_sys, 5, radii=(0.1, bad))
 
     def test_zero_direction_is_redrawn(self, linear_sys, linear_orbit, monkeypatch):
         # a direction of norm 0 must not use up a sample slot
