@@ -3,7 +3,7 @@ impulse effects: event-driven integration, section-return maps, hybrid
 periodic orbits and input-to-state stability sweeps."""
 
 from .core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
-                   ValidationReport, euclidean, validate_system)
+                   ValidationReport, validate_system)
 from .errors import SieError
 from .events import ImpactEvent, TimeToImpact, time_to_impact
 from .flow import FlowSegment, IntegratorConfig, integrate
@@ -11,7 +11,7 @@ from .hybrid import GuardConfig, HybridTrajectory, Impact, simulate
 from .iss import (DecayFit, EquivalenceVerdict, GainFit, IssSweepReport,
                   SweepConfig, check_equivalence, fit_decay, fit_gain,
                   run_sweep)
-from .models import catalog, model, oracle, registration_checks
+from .models import catalog, model, oracle
 from .orbit import (PeriodicOrbit, Prop1Report, build_orbit, certify_prop1,
                     dist_to_orbit)
 from .poincare import (StabilityReport, SurfaceChart, find_fixed_point,
@@ -19,13 +19,13 @@ from .poincare import (StabilityReport, SurfaceChart, find_fixed_point,
 
 __all__ = [
     "ContinuousSignal", "DiscreteSequence", "HybridSystemDef",
-    "ValidationReport", "euclidean", "validate_system",
+    "ValidationReport", "validate_system",
     "SieError", "ImpactEvent", "TimeToImpact", "time_to_impact",
     "FlowSegment", "IntegratorConfig", "integrate",
     "GuardConfig", "HybridTrajectory", "Impact", "simulate",
     "DecayFit", "EquivalenceVerdict", "GainFit", "IssSweepReport",
     "SweepConfig", "check_equivalence", "fit_decay", "fit_gain", "run_sweep", "catalog",
-    "model", "oracle", "registration_checks", "PeriodicOrbit", "Prop1Report",
+    "model", "oracle", "PeriodicOrbit", "Prop1Report",
     "build_orbit", "certify_prop1", "dist_to_orbit", "StabilityReport",
     "SurfaceChart", "find_fixed_point", "linearize", "poincare_map",
 ]

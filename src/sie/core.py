@@ -119,10 +119,6 @@ class HybridSystemDef:
     def _fd_gradient(self, x: np.ndarray) -> np.ndarray:
         return central_difference(self.eval_h, x, 1e-6)
 
-    def lie_h(self, x: np.ndarray, u_value: np.ndarray) -> float:
-        """Directional derivative of H along the flow: grad H(x) . f(x, u)."""
-        return float(np.dot(self.surface_gradient(x), self.eval_f(x, u_value)))
-
 
 # ---------------------------------------------------------------------------
 # continuous-time inputs

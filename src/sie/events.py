@@ -40,10 +40,14 @@ class ImpactEvent:
     localization_width: float
 
 
-def _graze_tol(sys: HybridSystemDef, x: np.ndarray, u_value: np.ndarray) -> float:
-    fn = float(np.linalg.norm(sys.eval_f(x, u_value)))
-    gn = float(np.linalg.norm(sys.surface_gradient(x)))
-    return _GRAZE_REL * fn * gn
+def _transversality(sys: HybridSystemDef, x: np.ndarray, u_value: np.ndarray) -> tuple[float, float]:
+    """The flow derivative of H, grad H(x) . f(x, u), and the graze tolerance
+    _GRAZE_REL |f| |grad H| below which its size counts as tangential, from
+    one evaluation of f and one of grad H."""
+    fv = sys.eval_f(x, u_value)
+    gv = sys.surface_gradient(x)
+    graze_tol = _GRAZE_REL * float(np.linalg.norm(fv)) * float(np.linalg.norm(gv))
+    return float(np.dot(gv, fv)), graze_tol
 
 
 def _scan_times(t_lo: float, t_hi: float) -> np.ndarray:
@@ -54,10 +58,11 @@ def _scan_times(t_lo: float, t_hi: float) -> np.ndarray:
     return ts
 
 
-def _refine_in_record(sys, ufn, record, ta: float, tb: float) -> tuple[float, np.ndarray, float, float]:
+def _refine_in_record(sys, ufn, record, ta, tb) -> tuple[float, np.ndarray, float, float, float]:
     """Bisect H to a relative width floor inside one dense record, then apply
     a single Newton polish with the flow derivative; returns
-    (t_hit, x_minus, lfh, width)."""
+    (t_hit, x_minus, lfh, graze_tol, width), lfh and graze_tol those of
+    `_transversality` at x_minus."""
     t_left, h, y_left, _y_right, Q = record
     width_tol = _BISECT_REL_WIDTH * max(1.0, abs(tb))
     while (tb - ta) > width_tol:
@@ -68,14 +73,14 @@ def _refine_in_record(sys, ufn, record, ta: float, tb: float) -> tuple[float, np
             tb = tm
     t_hit = 0.5 * (ta + tb)
     x = _quartic(t_left, h, y_left, Q, t_hit)
-    lfh = sys.lie_h(x, ufn(t_hit))
+    lfh, graze_tol = _transversality(sys, x, ufn(t_hit))
     if lfh != 0.0:
         t_polish = t_hit - sys.eval_h(x) / lfh
         if t_left <= t_polish <= t_left + h:
             t_hit = t_polish
             x = _quartic(t_left, h, y_left, Q, t_hit)
-            lfh = sys.lie_h(x, ufn(t_hit))
-    return t_hit, x, lfh, tb - ta
+            lfh, graze_tol = _transversality(sys, x, ufn(t_hit))
+    return t_hit, x, lfh, graze_tol, tb - ta
 
 
 def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, float, float] | None:
@@ -92,10 +97,10 @@ def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, fl
     dwell_floor = 1e-11 * max(1.0, abs(from_t))
     for i in range(len(ts) - 1):
         if hs[i] > 0.0 and hs[i + 1] <= 0.0:
-            t_hit, x, lfh, width = _refine_in_record(sys, ufn, record, ts[i], ts[i + 1])
+            t_hit, x, lfh, graze_tol, width = _refine_in_record(sys, ufn, record, ts[i], ts[i + 1])
             if t_hit <= from_t + dwell_floor:
                 continue
-            if abs(lfh) < _graze_tol(sys, x, ufn(t_hit)):
+            if abs(lfh) < graze_tol:
                 raise GrazeDetected(t_hit, lfh)
             if lfh >= 0.0:
                 # interpolant wiggle produced a spurious bracket
@@ -108,10 +113,9 @@ def _endpoint_event(sys, ufn, t_end: float, x_end: np.ndarray):
     """A trajectory that lands on the surface exactly at the end of the span
     (within event tolerance, approaching transversally) counts as a crossing
     at the endpoint."""
-    hv = sys.eval_h(x_end)
-    if abs(hv) <= event_tol(x_end):
-        lfh = sys.lie_h(x_end, ufn(t_end))
-        if lfh < 0.0 and abs(lfh) >= _graze_tol(sys, x_end, ufn(t_end)):
+    if abs(sys.eval_h(x_end)) <= event_tol(x_end):
+        lfh, graze_tol = _transversality(sys, x_end, ufn(t_end))
+        if lfh < 0.0 and abs(lfh) >= graze_tol:
             return ImpactEvent(t_hit=t_end, x_minus=np.asarray(x_end, dtype=float).copy(),
                                lfh=lfh, localization_width=0.0)
     return None
@@ -160,10 +164,9 @@ def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
             t_hit, x, lfh, width = hit
             event = ImpactEvent(t_hit=t_hit, x_minus=x, lfh=lfh, localization_width=width)
             seg = _build_segment(stepper.records, t0, t_hit, stepper.n_accepted,
-                                 stepper.n_rejected, stepper.h_max, final_y=x)
+                                 stepper.n_rejected, final_y=x)
             return TimeToImpact(segment=seg, event=event)
-    seg = _build_segment(stepper.records, t0, t_end, stepper.n_accepted,
-                         stepper.n_rejected, stepper.h_max)
+    seg = _build_segment(stepper.records, t0, t_end, stepper.n_accepted, stepper.n_rejected)
     return TimeToImpact(segment=seg, event=_endpoint_event(sys, ufn, t_end, seg.ys[-1]))
 
 

@@ -10,7 +10,7 @@ the solver integrates the frozen-signal vector field (t, x) -> f(x, u(t)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class IntegratorConfig:
         if self.max_steps < 1:
             raise PreconditionError("max_steps must be at least 1")
 
-    def tightened(self, rtol: float, atol: float) -> "IntegratorConfig":
-        return replace(self, rtol=min(self.rtol, rtol), atol=min(self.atol, atol))
-
 
 @dataclass(frozen=True)
 class FlowSegment:
@@ -86,7 +83,6 @@ class FlowSegment:
     qs: np.ndarray
     n_accepted: int
     n_rejected: int
-    h_max: float
 
     @property
     def n(self) -> int:
@@ -175,7 +171,6 @@ class Stepper:
         self._nfev = 2  # initial-step heuristic reuses k1 and one probe
         self.n_accepted = 0
         self.n_rejected = 0
-        self.h_max = 0.0
         self.records: list[tuple[float, float, np.ndarray, np.ndarray, np.ndarray]] = []
 
     @property
@@ -195,11 +190,6 @@ class Stepper:
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         return min(100 * h0, h1, self.t_end - self.t, self.cfg.max_step)
-
-    def _partial_segment(self) -> FlowSegment:
-        t0 = self.records[0][0] if self.records else self.t
-        return _build_segment(self.records, t0, self.t,
-                              self.n_accepted, self.n_rejected, self.h_max)
 
     def step(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
         """Advance one accepted step; returns (t_left, h, y_left, y_right, Q)."""
@@ -235,18 +225,18 @@ class Stepper:
                 self.y = y_new
                 self._k1 = K[6]
                 self.n_accepted += 1
-                self.h_max = max(self.h_max, h)
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXPONENT)
                 self._h = h * factor
                 if not (np.abs(y_new) <= self.cfg.blowup).all():
-                    raise Blowup(self.t, float(np.max(np.abs(y_new))), self._partial_segment())
+                    raise Blowup(self.t, float(np.max(np.abs(y_new))), _build_segment(
+                        self.records, self.records[0][0], self.t, self.n_accepted, self.n_rejected))
                 return record
             self.n_rejected += 1
             self._h = h * max(_MIN_FACTOR, _SAFETY * err**_ERR_EXPONENT)
 
 
 def _build_segment(records, t0: float, t1: float, n_acc: int, n_rej: int,
-                   h_max: float, final_y: np.ndarray | None = None) -> FlowSegment:
+                   final_y: np.ndarray | None = None) -> FlowSegment:
     if not records:
         raise PreconditionError("cannot build a segment from zero accepted steps")
     ts = np.array([r[0] for r in records])
@@ -256,7 +246,7 @@ def _build_segment(records, t0: float, t1: float, n_acc: int, n_rej: int,
     if final_y is not None:
         ys[-1] = final_y
     return FlowSegment(t0=t0, t1=t1, ts=ts, hs=hs, ys=ys, qs=qs,
-                       n_accepted=n_acc, n_rejected=n_rej, h_max=h_max)
+                       n_accepted=n_acc, n_rejected=n_rej)
 
 
 def integrate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
@@ -272,5 +262,4 @@ def integrate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     stepper = Stepper(sys, x0, u, t0, t1, cfg)
     while not stepper.done:
         stepper.step()
-    return _build_segment(stepper.records, t0, t1, stepper.n_accepted,
-                          stepper.n_rejected, stepper.h_max)
+    return _build_segment(stepper.records, t0, t1, stepper.n_accepted, stepper.n_rejected)

@@ -8,6 +8,7 @@ what the discrete section iteration consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +102,8 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     numerical failures terminate the trajectory with a labelled termination
     instead of raising.
     """
-    if not t_final > 0:  # also NaN
-        raise PreconditionError("t_final must be positive")
+    if not 0 < t_final < math.inf:  # also NaN
+        raise PreconditionError("t_final must be positive and finite")
     guards = guards or GuardConfig()
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
@@ -139,17 +140,14 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
             dwell = ev.t_hit - t
             v_k = vbar[v_index]
             x_plus = sys.eval_delta(ev.x_minus, v_k)
+            impacts.append(Impact(k=v_index, t=ev.t_hit, x_minus=ev.x_minus,
+                                  v=np.asarray(v_k, float), x_plus=x_plus))
+            t = ev.t_hit
             try:
                 check_reset_side(sys, x_plus)
             except ResetNotInSPlus as exc:
-                t = ev.t_hit
-                impacts.append(Impact(k=v_index, t=t, x_minus=ev.x_minus,
-                                      v=np.asarray(v_k, float), x_plus=x_plus))
                 return _terminate("beating-guard", str(exc))
-            impacts.append(Impact(k=v_index, t=ev.t_hit, x_minus=ev.x_minus,
-                                  v=np.asarray(v_k, float), x_plus=x_plus))
             v_index += 1
-            t = ev.t_hit
             x = x_plus
             if dwell < min_dwell:
                 return _terminate("zeno-guard", f"inter-impact interval {dwell:.3g} below {min_dwell:.3g}")

@@ -54,8 +54,9 @@ class SweepConfig:
         ints = (self.trials, self.samples_per_step, self.seed)
         if not all(isinstance(v, (int, np.integer)) for v in ints):
             raise PreconditionError("trials, samples_per_step and seed must be integers")
-        if self.trials < 1 or self.samples_per_step < 1 or not self.horizon_periods > 0:
-            raise PreconditionError("trials, samples_per_step and horizon_periods must be positive")
+        if self.trials < 1 or self.samples_per_step < 1 or not 0 < self.horizon_periods < math.inf:
+            raise PreconditionError("trials and samples_per_step must be positive, "
+                                    "horizon_periods positive and finite")
         if self.pair_uv and len(self.u_amps) != len(self.v_amps):
             raise PreconditionError("pair_uv needs matching u_amps and v_amps lengths")
 
@@ -82,8 +83,6 @@ class CellResult:
     offset: float
     u_amp: float
     v_amp: float
-    trials: int
-    seed: int
     ultimate_orbital: float
     ultimate_discrete: float
     peak: float
@@ -210,8 +209,7 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
                 series.append(TrialSeries(impact_times=t_imp, discrete_dev=disc,
                                           window_times=w_times, orbital_sup=orb))
         cells.append(CellResult(
-            offset=offset, u_amp=u_amp, v_amp=v_amp, trials=sweep.trials,
-            seed=sweep.seed,
+            offset=offset, u_amp=u_amp, v_amp=v_amp,
             ultimate_orbital=float(np.median(trial_orb)) if trial_orb else math.nan,
             ultimate_discrete=float(np.median(trial_disc)) if trial_disc else math.nan,
             peak=peak,
@@ -233,26 +231,22 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
 class DecayFit:
     """Exponential-ansatz fit of zero-input deviation decay.
 
-    Orbital: deviation <= prefactor * exp(-rate * t) * deviation(0).
-    Discrete: deviation_k decays like ratio**k, with ratio = exp(-discrete
-    rate).
+    Orbital: deviation decays like exp(-rate * t).  Discrete: deviation_k
+    decays like ratio**k, with ratio = exp(-discrete rate).  The interval
+    bounds are the shortest and longest gap between crossings.
     """
 
-    prefactor: float
     rate: float
-    residual: float
     ratio: float
     interval_min: float
     interval_max: float
 
 
-def _fit_loglinear(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    logs = np.log(ys)
+def _fit_loglinear(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Slope of the least-squares line through (xs, log ys)."""
     A = np.vstack([xs, np.ones_like(xs)]).T
-    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    resid = float(np.sqrt(np.mean((A @ coef - logs) ** 2)))
-    return slope, intercept, resid
+    coef, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
+    return float(coef[0])
 
 
 def fit_decay(runs: list[TrialSeries]) -> DecayFit:
@@ -273,8 +267,7 @@ def fit_decay(runs: list[TrialSeries]) -> DecayFit:
         past_min[int(np.argmin(series)):] = True
         return keep & ~past_min
 
-    slopes_o, prefs_o, resid_o = [], [], []
-    slopes_d = []
+    slopes_o, slopes_d = [], []
     intervals = []
     for run in runs:
         keep_d = _usable(run.discrete_dev)
@@ -283,23 +276,15 @@ def fit_decay(runs: list[TrialSeries]) -> DecayFit:
             raise FitDegenerate(
                 "fewer than 10 crossings above the numerical floor; re-run with a larger offset")
         ks = np.flatnonzero(keep_d).astype(float)
-        sd, _, _ = _fit_loglinear(ks, run.discrete_dev[keep_d])
-        ts = run.window_times[keep_o]
-        so, bo, ro = _fit_loglinear(ts, run.orbital_sup[keep_o])
-        dev0_o = run.orbital_sup[keep_o][0]
-        slopes_d.append(sd)
-        slopes_o.append(so)
-        prefs_o.append(math.exp(bo) / dev0_o)
-        resid_o.append(ro)
+        slopes_d.append(_fit_loglinear(ks, run.discrete_dev[keep_d]))
+        slopes_o.append(_fit_loglinear(run.window_times[keep_o], run.orbital_sup[keep_o]))
         if len(run.impact_times) >= 2:
             gaps = np.diff(run.impact_times)
             intervals.extend([float(np.min(gaps)), float(np.max(gaps))])
     rate = -float(np.mean(slopes_o))
     rate_d = -float(np.mean(slopes_d))
     return DecayFit(
-        prefactor=float(np.median(prefs_o)),
         rate=rate,
-        residual=float(np.max(resid_o)),
         ratio=math.exp(-rate_d),
         interval_min=float(np.min(intervals)),
         interval_max=float(np.max(intervals)),

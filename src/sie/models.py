@@ -1,8 +1,8 @@
 """Built-in systems with closed-form oracle packs.
 
-Every entry documents which of the smoothness/geometry assumptions it
-satisfies; the bouncing ball is the deliberate negative control (Zeno by
-design, excluded from stability suites).  No multi-body robot is shipped:
+The comment above each model states which of the smoothness/geometry
+assumptions it satisfies; the bouncing ball is the deliberate negative
+control (Zeno by design, with no oracle pack).  No multi-body robot is shipped:
 the substitute models reproduce the same mathematical structure those
 applications have (smooth forced flow, codimension-1 section, impulsive
 reset disturbance) while keeping exact oracles available.
@@ -11,7 +11,7 @@ reset disturbance) while keeping exact oracles available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,34 +30,15 @@ class OraclePack:
     poincare_map: Callable | None = None
     forced_fixed_point: Callable | None = None
     period_band: tuple[float, float] | None = None
-    basin_note: str = ""
 
 
 @dataclass(frozen=True)
 class ModelCatalogEntry:
     name: str
     factory: Callable[..., HybridSystemDef]
-    defaults: dict = field(default_factory=dict)
-    ranges: dict = field(default_factory=dict)
+    defaults: dict
+    ranges: dict
     oracle_factory: Callable[..., OraclePack | None] = lambda **_: None
-    assumption_notes: str = ""
-    stability_suite: bool = True
-
-
-def _check_params(entry: ModelCatalogEntry, params: dict) -> dict:
-    merged = dict(entry.defaults)
-    for key, val in params.items():
-        if key not in entry.defaults:
-            raise ParamOutOfRange(f"model {entry.name!r} has no parameter {key!r}")
-        try:
-            merged[key] = float(val)
-        except (TypeError, ValueError, OverflowError):
-            raise ParamOutOfRange(f"{entry.name}: {key}={val!r:.60} is not a number") from None
-    for key, (lo, hi) in entry.ranges.items():
-        v = merged[key]
-        if not (lo < v < hi) or not math.isfinite(v):
-            raise ParamOutOfRange(f"{entry.name}: {key}={v!r} outside ({lo}, {hi})")
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +47,7 @@ def _check_params(entry: ModelCatalogEntry, params: dict) -> dict:
 # Everything about it is solvable in closed form, which makes it the primary
 # oracle: T* = 1, x* = (1, 0), section map  x2 -> e^{-a} (x2 + v) + (u/a)(1 - e^{-a})
 # for constant u, hence eigenvalue e^{-a} and forced fixed point u/a + v e^{-a}/(1-e^{-a}).
+# Smooth everywhere; the reset lands strictly above the surface; transversal.
 
 
 def _linear_reset(a: float) -> HybridSystemDef:
@@ -98,7 +80,6 @@ def _linear_reset_oracle(a: float) -> OraclePack:
         eigenvalues=(decay,),
         poincare_map=pmap,
         forced_fixed_point=forced_fp,
-        basin_note="globally attracting in x2; the timer coordinate is input-independent",
     )
 
 
@@ -110,6 +91,7 @@ def _linear_reset_oracle(a: float) -> OraclePack:
 # the section map in z = om^2 is affine:
 #   z_{k+1} = cos^2(2a) z_k + 2 (g/l)(cos(g-a) - cos(g+a)),
 # giving om*^2 = 4 (g/l) sin a sin g / sin^2(2a) and eigenvalue cos^2(2a).
+# Smooth; the reset lands strictly above the surface; finite capture basin.
 
 
 def _rimless_wheel(alpha: float, gamma: float, g_over_l: float) -> HybridSystemDef:
@@ -133,9 +115,6 @@ def _rimless_oracle(alpha: float, gamma: float, g_over_l: float) -> OraclePack:
     c2a = math.cos(2.0 * alpha)
     gain = 2.0 * g_over_l * (math.cos(gamma - alpha) - math.cos(gamma + alpha))
     omega_star = math.sqrt(gain / (1.0 - c2a * c2a))
-    omega_plus = c2a * omega_star
-    # capture: the post-impact speed must carry the wheel over the apex at th=0
-    capture = math.sqrt(max(0.0, 2.0 * g_over_l * (1.0 - math.cos(gamma - alpha))))
 
     def pmap(omega: float, v: float = 0.0) -> float:
         return math.sqrt((c2a * omega + v) ** 2 + gain)
@@ -145,7 +124,6 @@ def _rimless_oracle(alpha: float, gamma: float, g_over_l: float) -> OraclePack:
         t_star=None,  # finite; fixed by quadrature in tests, not needed here
         eigenvalues=(c2a * c2a,),
         poincare_map=pmap,
-        basin_note=f"post-impact speed must exceed {capture:.6g} to clear the apex",
     )
 
 
@@ -160,7 +138,8 @@ def rimless_capture_speed(alpha: float, gamma: float, g_over_l: float) -> float:
 # x2 = 0 is gated to the half plane x1 > 0 by adding a cubic hinge so only
 # the downward crossing on the right branch is a zero of H:
 #   H(x) = x2 + gate * max(0, -x1)^3.
-# The hinge is C^2 and vanishes wherever x1 >= 0.
+# The hinge is C^2 and vanishes wherever x1 >= 0.  The identity reset lands
+# on the section by construction.
 
 
 def _vdp_adapter(mu: float, gate: float) -> HybridSystemDef:
@@ -187,8 +166,8 @@ def _vdp_adapter(mu: float, gate: float) -> HybridSystemDef:
 
 def _vdp_oracle(mu: float, gate: float) -> OraclePack:
     if mu == 0.0:
-        return OraclePack(t_star=2.0 * math.pi, eigenvalues=(1.0,),
-                          basin_note="conservative: every section point is fixed")
+        # conservative: every section point is fixed
+        return OraclePack(t_star=2.0 * math.pi, eigenvalues=(1.0,))
     # small-mu asymptotic period as a consistency band
     t_approx = 2.0 * math.pi * (1.0 + mu * mu / 16.0)
     return OraclePack(period_band=(t_approx * 0.995, t_approx * 1.005))
@@ -196,7 +175,7 @@ def _vdp_oracle(mu: float, gate: float) -> OraclePack:
 
 # ---------------------------------------------------------------------------
 # bouncing ball: the Zeno negative control.  Restitution < 1 makes impact
-# times accumulate geometrically; excluded from stability suites.
+# times accumulate geometrically, and the reset lands on the surface.
 
 
 def _bouncing_ball(g: float, restitution: float) -> HybridSystemDef:
@@ -215,96 +194,56 @@ def _bouncing_ball(g: float, restitution: float) -> HybridSystemDef:
     )
 
 
-_CATALOG: dict[str, ModelCatalogEntry] = {}
-
-
-def _register(entry: ModelCatalogEntry) -> None:
-    _CATALOG[entry.name] = entry
-
-
-_register(ModelCatalogEntry(
-    name="linear-reset",
-    factory=lambda a: _linear_reset(a),
-    defaults={"a": math.log(2.0)},
-    ranges={"a": (0.0, math.inf)},
-    oracle_factory=lambda a: _linear_reset_oracle(a),
-    assumption_notes="smooth everywhere; reset strictly above the surface; transversal",
-))
-_register(ModelCatalogEntry(
-    name="rimless-wheel",
-    factory=lambda alpha, gamma, g_over_l: _rimless_wheel(alpha, gamma, g_over_l),
-    defaults={"alpha": math.pi / 8.0, "gamma": 0.08, "g_over_l": 9.81},
-    ranges={"alpha": (0.0, math.pi / 2.0), "gamma": (0.0, math.pi / 2.0), "g_over_l": (0.0, math.inf)},
-    oracle_factory=lambda alpha, gamma, g_over_l: _rimless_oracle(alpha, gamma, g_over_l),
-    assumption_notes="smooth; reset strictly above the surface; finite capture basin",
-))
-_register(ModelCatalogEntry(
-    name="vdp-adapter",
-    factory=lambda mu, gate: _vdp_adapter(mu, gate),
-    defaults={"mu": 0.2, "gate": 0.05},
-    ranges={"mu": (-1e-12, math.inf), "gate": (0.0, math.inf)},
-    oracle_factory=lambda mu, gate: _vdp_oracle(mu, gate),
-    assumption_notes="identity reset lands on the section by construction (continuous adapter)",
-))
-_register(ModelCatalogEntry(
-    name="bouncing-ball",
-    factory=lambda g, restitution: _bouncing_ball(g, restitution),
-    defaults={"g": 9.81, "restitution": 0.5},
-    ranges={"g": (0.0, math.inf), "restitution": (0.0, 1.0)},
-    assumption_notes="negative control: reset lands on the surface and impacts accumulate (Zeno)",
-    stability_suite=False,
-))
+_CATALOG: dict[str, ModelCatalogEntry] = {entry.name: entry for entry in (
+    ModelCatalogEntry(
+        name="linear-reset", factory=_linear_reset, oracle_factory=_linear_reset_oracle,
+        defaults={"a": math.log(2.0)}, ranges={"a": (0.0, math.inf)}),
+    ModelCatalogEntry(
+        name="rimless-wheel", factory=_rimless_wheel, oracle_factory=_rimless_oracle,
+        defaults={"alpha": math.pi / 8.0, "gamma": 0.08, "g_over_l": 9.81},
+        ranges={"alpha": (0.0, math.pi / 2.0), "gamma": (0.0, math.pi / 2.0),
+                "g_over_l": (0.0, math.inf)}),
+    ModelCatalogEntry(
+        name="vdp-adapter", factory=_vdp_adapter, oracle_factory=_vdp_oracle,
+        defaults={"mu": 0.2, "gate": 0.05},
+        ranges={"mu": (-1e-12, math.inf), "gate": (0.0, math.inf)}),
+    ModelCatalogEntry(
+        name="bouncing-ball", factory=_bouncing_ball,
+        defaults={"g": 9.81, "restitution": 0.5},
+        ranges={"g": (0.0, math.inf), "restitution": (0.0, 1.0)}),
+)}
 
 
 def catalog() -> dict[str, ModelCatalogEntry]:
     return dict(_CATALOG)
 
 
-def model(name: str, **params) -> HybridSystemDef:
+def _lookup(name: str, params: dict) -> tuple[ModelCatalogEntry, dict]:
+    """The catalog entry of a model and its defaults overridden by params,
+    each checked to be a number inside the parameter's range."""
     if name not in _CATALOG:
         raise UnknownModel(f"unknown model {name!r}; available: {sorted(_CATALOG)}")
     entry = _CATALOG[name]
-    merged = _check_params(entry, params)
+    merged = dict(entry.defaults)
+    for key, val in params.items():
+        if key not in entry.defaults:
+            raise ParamOutOfRange(f"model {name!r} has no parameter {key!r}")
+        try:
+            merged[key] = float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ParamOutOfRange(f"{name}: {key}={val!r:.60} is not a number") from None
+    for key, (lo, hi) in entry.ranges.items():
+        v = merged[key]
+        if not (lo < v < hi) or not math.isfinite(v):
+            raise ParamOutOfRange(f"{name}: {key}={v!r} outside ({lo}, {hi})")
+    return entry, merged
+
+
+def model(name: str, **params) -> HybridSystemDef:
+    entry, merged = _lookup(name, params)
     return entry.factory(**merged)
 
 
 def oracle(name: str, **params) -> OraclePack | None:
-    if name not in _CATALOG:
-        raise UnknownModel(f"unknown model {name!r}; available: {sorted(_CATALOG)}")
-    entry = _CATALOG[name]
-    merged = _check_params(entry, params)
+    entry, merged = _lookup(name, params)
     return entry.oracle_factory(**merged)
-
-
-def registration_checks() -> dict[str, dict[str, bool]]:
-    """Direct-evaluation assumption checks for every catalog entry.
-
-    Entries with a known fixed point must reset strictly into H > 0 and
-    pierce the surface (negative flow derivative of H at x*); the bouncing
-    ball must fail the reset-side check, keeping the negative control
-    honestly labelled.
-    """
-    results: dict[str, dict[str, bool]] = {}
-    for name, entry in _CATALOG.items():
-        sys = entry.factory(**entry.defaults)
-        pack = entry.oracle_factory(**entry.defaults)
-        checks: dict[str, bool] = {}
-        if pack is not None and pack.x_star is not None:
-            x_star = pack.x_star
-            x_plus = sys.eval_delta(x_star, np.zeros(sys.q))
-            checks["reset_strictly_inside"] = sys.eval_h(x_plus) > 0.0
-            checks["transversal_at_fixed_point"] = sys.lie_h(x_star, np.zeros(sys.p)) < 0.0
-        if name == "bouncing-ball":
-            x_plus = sys.eval_delta(np.array([0.0, -1.0]), np.zeros(sys.q))
-            checks["reset_strictly_inside"] = sys.eval_h(x_plus) > 0.0
-        results[name] = checks
-    expected_fail = results["bouncing-ball"]["reset_strictly_inside"]
-    if expected_fail:
-        raise AssertionError("bouncing-ball unexpectedly satisfies the reset-side assumption")
-    for name, checks in results.items():
-        if name == "bouncing-ball":
-            continue
-        for label, ok in checks.items():
-            if not ok:
-                raise AssertionError(f"model {name}: registration check {label} failed")
-    return results

@@ -337,6 +337,8 @@ def certify_prop1(orbit: PeriodicOrbit, sys: HybridSystemDef, n_samples: int,
     Raises UpperBoundViolation (report attached) if any sample has orbit
     distance above its fixed-point distance plus 1e-9.
     """
+    if not all(isinstance(v, (int, np.integer)) for v in (n_samples, seed)):
+        raise PreconditionError("n_samples and seed must be integers")
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
     if radii is None:

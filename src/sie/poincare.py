@@ -114,7 +114,8 @@ def poincare_map(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
 
 
 def _map_cfg(cfg: IntegratorConfig | None) -> IntegratorConfig:
-    return (cfg or IntegratorConfig()).tightened(_MAP_RTOL, _MAP_ATOL)
+    cfg = cfg or IntegratorConfig()
+    return replace(cfg, rtol=min(cfg.rtol, _MAP_RTOL), atol=min(cfg.atol, _MAP_ATOL))
 
 
 def find_fixed_point(sys: HybridSystemDef, x_guess: np.ndarray,
@@ -169,10 +170,9 @@ def find_fixed_point(sys: HybridSystemDef, x_guess: np.ndarray,
 
 
 def linearize(sys: HybridSystemDef, report: StabilityReport,
-              cfg: IntegratorConfig | None = None,
-              t_cap: float | None = None) -> StabilityReport:
-    """Fill the on-surface Jacobian (central differences, column by column),
-    its eigenvalues and the stability verdict.
+              cfg: IntegratorConfig | None = None) -> StabilityReport:
+    """Fill the on-surface Jacobian (central differences, column by column,
+    each map evaluation capped at 10 T*), its eigenvalues and the verdict.
 
     The Jacobian is recomputed at half the step as a consistency check; a
     spectral radius within _MARGINAL_BAND of one is reported as
@@ -181,13 +181,12 @@ def linearize(sys: HybridSystemDef, report: StabilityReport,
     if report.x_star is None or not report.newton_residuals:
         raise PreconditionError("linearize needs a converged fixed-point report")
     mcfg = _map_cfg(cfg)
-    cap = t_cap if t_cap is not None else 10.0 * report.t_star
     chart = SurfaceChart.build(sys, report.x_star)
     z_star = chart.project(report.x_star)
     u0, v0 = zero_inputs(sys)
 
     def chart_map(z: np.ndarray) -> np.ndarray:
-        return chart.project(poincare_map(sys, chart.embed(z), u0, v0, mcfg, cap).state)
+        return chart.project(poincare_map(sys, chart.embed(z), u0, v0, mcfg, 10.0 * report.t_star).state)
 
     J = central_difference(chart_map, z_star, _FD_STEP)
     J_half = central_difference(chart_map, z_star, _FD_STEP / 2.0)

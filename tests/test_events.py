@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
 from sie.errors import GrazeDetected, PreconditionError, ResetNotInSPlus
-from sie.events import (_SAMPLES_PER_STEP, _graze_tol, _refine_in_record, _scan_record,
-                        _scan_times, first_crossing, time_to_impact)
+from sie.events import (_SAMPLES_PER_STEP, _refine_in_record, _scan_record, _scan_times,
+                        first_crossing, time_to_impact)
 from sie.flow import IntegratorConfig, Stepper, _quartic, integrate
 from sie.hybrid import simulate
 from sie import models
@@ -93,10 +94,10 @@ def _per_sample_scan(sys, ufn, record, from_t):
     dwell_floor = 1e-11 * max(1.0, abs(from_t))
     for i in range(len(ts) - 1):
         if hs[i] > 0.0 and hs[i + 1] <= 0.0:
-            t_hit, x, lfh, width = _refine_in_record(sys, ufn, record, ts[i], ts[i + 1])
+            t_hit, x, lfh, graze_tol, width = _refine_in_record(sys, ufn, record, ts[i], ts[i + 1])
             if t_hit <= from_t + dwell_floor:
                 continue
-            if abs(lfh) < _graze_tol(sys, x, ufn(t_hit)):
+            if abs(lfh) < graze_tol:
                 raise GrazeDetected(t_hit, lfh)
             if lfh >= 0.0:
                 continue
@@ -143,6 +144,25 @@ def test_batched_scan_matches_per_sample_scan(name):
                 assert hit[0] == hit_ref[0] and hit[2:] == hit_ref[2:]
                 assert np.array_equal(hit[1], hit_ref[1])
     assert hits > 0
+
+
+def test_crossing_evaluates_the_surface_gradient_once_per_state():
+    # lfh and the graze tolerance come from one evaluation of f and grad H at
+    # each state the localization visits, the bisection midpoint and the
+    # Newton-polished state; judging the graze evaluates nothing more
+    base = models.model("linear-reset")
+    calls = []
+
+    def grad_h(x):
+        calls.append(np.array(x))
+        return base.grad_h(x)
+
+    sysd = replace(base, grad_h=grad_h)
+    ev = first_crossing(sysd, np.array([0.0, 0.3]), U0, 0.0, 1.5, CFG).event
+    assert ev is not None
+    assert len(calls) == 2
+    assert np.array_equal(calls[-1], ev.x_minus)
+    assert ev.lfh == np.dot(sysd.surface_gradient(ev.x_minus), sysd.eval_f(ev.x_minus, np.zeros(1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,7 +285,7 @@ class TestTimeToImpactFromSplus:
         out = time_to_impact(sysd, np.array([2.0, 0.05]), U0, t_cap=20.0)
         assert out.finite
         assert 0.0 < out.time < 2.0 * math.pi * (1 + 0.2 ** 2 / 16) * 1.05
-        assert sysd.lie_h(out.state, np.zeros(1)) < 0.0
+        assert np.dot(sysd.surface_gradient(out.state), sysd.eval_f(out.state, np.zeros(1))) < 0.0
 
 
 def test_time_to_impact_continuity_at_fixed_point(rimless_sys):

@@ -97,7 +97,7 @@ def test_step_stats_recorded(linear_sys):
     cfg = IntegratorConfig(max_step=0.05)
     seg = integrate(linear_sys, np.array([0.0, 1.0]), U0, (0.0, 1.0), cfg)
     assert seg.n_accepted == len(seg.ts)
-    assert seg.h_max <= 0.05 + 1e-12
+    assert seg.hs.max() <= 0.05 + 1e-12
     assert seg.n_accepted >= 20
 
 

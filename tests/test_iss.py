@@ -32,6 +32,8 @@ class TestSweepConfig:
             small_sweep(u_amps=(0.0, 0.1), v_amps=(0.0,), pair_uv=True)
         with pytest.raises(PreconditionError):
             small_sweep(samples_per_step=0)
+        with pytest.raises(PreconditionError):
+            small_sweep(horizon_periods=math.inf)
 
     @pytest.mark.parametrize("field", [
         {"trials": 2.5}, {"trials": 5.0}, {"samples_per_step": 2.5}, {"seed": 1.5},
@@ -238,7 +240,7 @@ class TestFitDecay:
 
 def _synthetic_cell(offset, ua, va, values):
     vals = tuple(float(v) for v in values)
-    return CellResult(offset=offset, u_amp=ua, v_amp=va, trials=len(vals), seed=0,
+    return CellResult(offset=offset, u_amp=ua, v_amp=va,
                       ultimate_orbital=float(np.median(vals)),
                       ultimate_discrete=float(np.median(vals)),
                       peak=max(vals), per_trial_orbital=vals, per_trial_discrete=vals)
@@ -281,7 +283,7 @@ class TestCheckEquivalence:
     def test_factor_reported_cellwise(self):
         cells = (
             _synthetic_cell(0.05, 0.0, 0.0, np.full(10, 1e-9)),
-            CellResult(offset=0.05, u_amp=0.1, v_amp=0.0, trials=10, seed=0,
+            CellResult(offset=0.05, u_amp=0.1, v_amp=0.0,
                        ultimate_orbital=0.3, ultimate_discrete=0.1, peak=0.3,
                        per_trial_orbital=tuple(np.full(10, 0.3)),
                        per_trial_discrete=tuple(np.full(10, 0.1))),

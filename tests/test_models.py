@@ -37,21 +37,25 @@ def test_non_numeric_param_is_out_of_range(value):
         models.model("rimless-wheel", alpha=value)
 
 
-def test_registration_checks_pass_and_label_negative_control():
-    results = models.registration_checks()
-    assert results["linear-reset"]["reset_strictly_inside"]
-    assert results["linear-reset"]["transversal_at_fixed_point"]
-    assert results["rimless-wheel"]["reset_strictly_inside"]
-    assert results["rimless-wheel"]["transversal_at_fixed_point"]
-    # the Zeno control must fail the reset-side assumption
-    assert not results["bouncing-ball"]["reset_strictly_inside"]
+def test_oracle_fixed_points_reset_inside_and_cross_transversally():
+    # every default oracle with a fixed point: the reset of x* lands strictly
+    # above the surface and the flow pierces the surface at x*
+    with_x_star = []
+    for name in models.catalog():
+        pack = models.oracle(name)
+        if pack is None or pack.x_star is None:
+            continue
+        with_x_star.append(name)
+        sysd, x_star = models.model(name), pack.x_star
+        assert sysd.eval_h(sysd.eval_delta(x_star, np.zeros(sysd.q))) > 0.0
+        assert np.dot(sysd.surface_gradient(x_star), sysd.eval_f(x_star, np.zeros(sysd.p))) < 0.0
+    assert with_x_star == ["linear-reset", "rimless-wheel"]
 
 
-def test_catalog_entries_marked_for_stability_suites():
-    cat = models.catalog()
-    assert cat["linear-reset"].stability_suite
-    assert cat["rimless-wheel"].stability_suite
-    assert not cat["bouncing-ball"].stability_suite
+def test_bouncing_ball_fails_the_reset_side_assumption():
+    # the Zeno control's reset lands on the surface, not strictly above it
+    sysd = models.model("bouncing-ball")
+    assert not sysd.eval_h(sysd.eval_delta(np.array([0.0, -1.0]), np.zeros(sysd.q))) > 0.0
 
 
 class TestOracles:

@@ -372,6 +372,13 @@ class TestCertifyProp1:
         with pytest.raises(PreconditionError):
             certify_prop1(linear_orbit, linear_sys, 5, radii=(0.1, bad))
 
+    @pytest.mark.parametrize("args", [{"n_samples": 2.5}, {"n_samples": math.nan},
+                                      {"n_samples": 5, "seed": 1.5}])
+    def test_non_integer_count_or_seed_is_a_precondition_error(self, linear_sys, linear_orbit,
+                                                               args):
+        with pytest.raises(PreconditionError):
+            certify_prop1(linear_orbit, linear_sys, radii=(0.1,), **args)
+
     def test_zero_direction_is_redrawn(self, linear_sys, linear_orbit, monkeypatch):
         # a direction of norm 0 must not use up a sample slot
         real = np.random.default_rng
