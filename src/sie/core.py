@@ -19,6 +19,9 @@ from . import _rng
 from .errors import EvaluatorFailure, PreconditionError
 
 _SURFACE_TOL = 1e-8  # |H| below this, relative to max(1, |x|), is on the surface
+# a declared affine surface must reproduce h to this, relative to the size of
+# its terms: rounding of one dot product, well inside the event scan's margin
+_AFFINE_MATCH_REL = 1e-13
 
 
 def surface_tol(x: np.ndarray) -> float:
@@ -63,6 +66,10 @@ class HybridSystemDef:
     (identity-reset adapters for continuous limit cycles, restitution maps of
     the bouncing-ball kind).  For ordinary systems the reset must land
     strictly above the surface and the default (False) keeps that contract.
+
+    surface = (g, c) declares H affine, H(x) = c + g . x, which lets the
+    event scan clear a whole step at once; `validate_system` checks it
+    against h.
     """
 
     n: int
@@ -74,6 +81,16 @@ class HybridSystemDef:
     grad_h: Callable[[np.ndarray], np.ndarray] | None = None
     surface_reset_ok: bool = False
     name: str = ""
+    # compare=False: an array field would make == and hash raise
+    surface: tuple[np.ndarray, float] | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.surface is not None:
+            g, c = self.surface
+            g, c = np.asarray(g, dtype=float), float(c)
+            if g.shape != (self.n,) or not (np.isfinite(g).all() and math.isfinite(c)):
+                raise PreconditionError("surface must be (g, c), g finite of shape (n,), c finite")
+            object.__setattr__(self, "surface", (g, c))
 
     def eval_f(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         try:
@@ -356,7 +373,8 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
     provided) matches central differences to 1e-5 relative, and gradients that
     vanish on the surface (below 1e-12, breaking the codimension-1 structure)
     are flagged.  Evaluator exceptions propagate as EvaluatorFailure with the
-    probe index attached.
+    probe index attached; a declared affine surface that misses h by more
+    than _AFFINE_MATCH_REL of its terms' size raises PreconditionError.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_states]
     if not probes:
@@ -374,6 +392,12 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
         except EvaluatorFailure as exc:
             exc.detail = f"probe {idx}: {exc.detail}"
             raise
+        if sys.surface is not None:
+            g, c = sys.surface
+            affine = c + g @ x
+            if abs(affine - hv) > _AFFINE_MATCH_REL * (1.0 + abs(c) + np.abs(g) @ np.abs(x)):
+                raise PreconditionError(
+                    f"probe {idx}: declared surface gives H={affine!r}, h gives {hv!r}")
         mismatch = 0.0
         if sys.grad_h is not None:
             fd = sys._fd_gradient(x)

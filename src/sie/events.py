@@ -27,6 +27,11 @@ _GRAZE_REL = 1e-8
 # so states produced by a previous localization re-enter preconditions cleanly
 _EVENT_TOL = 1e-10
 
+# an affine H clears a step when the quartic it follows there stays above
+# this, relative to the size of its terms: far above the rounding of the
+# dense output and of h, and of a declaration that validate_system accepts
+_CLEAR_REL = 1e-12
+
 
 def event_tol(x: np.ndarray) -> float:
     return _EVENT_TOL * max(1.0, float(np.max(np.abs(x))))
@@ -83,9 +88,40 @@ def _refine_in_record(sys, ufn, record, ta, tb) -> tuple[float, np.ndarray, floa
     return t_hit, x, lfh, graze_tol, tb - ta
 
 
+def _clears_surface(surface: tuple[np.ndarray, float], record) -> bool:
+    """Whether an affine H = c + g . x stays above its rounding margin over
+    the whole step, at the dense output and at the step's end state.  Along
+    the step H is the quartic a0 + a1 th + .. + a4 th^4 with a0 = c + g .
+    y_left and a_k = h (g . Q)_k, which lies above the least of its
+    Bernstein coefficients b_i = sum over k <= i of C(i, k) / C(4, k) a_k
+    (Farin, Curves and Surfaces for CAGD).  Plain floats: for a handful of
+    coordinates they cost less than array calls."""
+    g, c = surface
+    _t_left, h, y_left, y_right, Q = record
+    a0 = a_right = c
+    a1 = a2 = a3 = a4 = 0.0
+    size = 1.0 + abs(c)
+    for gj, yl, yr, (q1, q2, q3, q4) in zip(g.tolist(), y_left.tolist(), y_right.tolist(),
+                                           Q.tolist()):
+        a0 += gj * yl
+        a_right += gj * yr
+        a1 += gj * q1
+        a2 += gj * q2
+        a3 += gj * q3
+        a4 += gj * q4
+        size += abs(gj) * (abs(yl) + abs(h) * (abs(q1) + abs(q2) + abs(q3) + abs(q4)))
+    a1, a2, a3, a4 = h * a1, h * a2, h * a3, h * a4
+    lowest = min(a0, a_right, a0 + a1 / 4, a0 + a1 / 2 + a2 / 6,
+                 a0 + 3 * a1 / 4 + a2 / 2 + a3 / 4, a0 + a1 + a2 + a3 + a4)
+    return lowest > _CLEAR_REL * size
+
+
 def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, float, float] | None:
     """First downward sign change of H inside one step record; a hit within
-    the dwell floor of from_t, the start of the search, is skipped."""
+    the dwell floor of from_t, the start of the search, is skipped.  A step
+    that a declared affine surface clears has none, and is not sampled."""
+    if sys.surface is not None and _clears_surface(sys.surface, record):
+        return None
     t_left, h, y_left, y_right, Q = record
     ts = _scan_times(t_left, t_left + h)
     xs = _quartic(t_left, h, y_left, Q, ts)

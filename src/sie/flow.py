@@ -150,7 +150,8 @@ def _quartic(t0, h, y0, q, t, jet: bool = False):
 class Stepper:
     """Adaptive Dormand-Prince stepper producing one dense record per
     accepted step; driven directly by event location so integration can stop
-    at a surface crossing without overshooting the step budget."""
+    at a surface crossing without overshooting the step budget.  The model's
+    output is checked once per step, not once per stage call."""
 
     def __init__(self, sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
                  t0: float, t_end: float, cfg: IntegratorConfig):
@@ -164,11 +165,9 @@ class Stepper:
         self.t = float(t0)
         self.t_end = float(t_end)
         self.y = x0.copy()
-        self.ufn = ufn = u.compile()
-        self._rhs = lambda t, y: sys.eval_f(y, ufn(t))
-        self._k1 = self._rhs(self.t, self.y)
+        self.ufn = u.compile()
+        self._k1 = sys.eval_f(self.y, self.ufn(self.t))
         self._h = self._initial_step()
-        self._nfev = 2  # initial-step heuristic reuses k1 and one probe
         self.n_accepted = 0
         self.n_rejected = 0
         self.records: list[tuple[float, float, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -183,13 +182,32 @@ class Stepper:
         d1 = np.linalg.norm(self._k1 / scale) / math.sqrt(self.y.size)
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         y1 = self.y + h0 * self._k1
-        f1 = self._rhs(self.t + h0, y1)
+        f1 = self.sys.eval_f(y1, self.ufn(self.t + h0))
         d2 = np.linalg.norm((f1 - self._k1) / scale) / math.sqrt(self.y.size) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         return min(100 * h0, h1, self.t_end - self.t, self.cfg.max_step)
+
+    def _stages(self, h: float, f) -> tuple[np.ndarray, np.ndarray]:
+        """The stage slopes K of a step of size h, one row per stage, and
+        the step's end state, the last stage's argument.  f is the model's
+        raw `f` or its checked `eval_f`; an output other than an array of
+        the state's shape goes through np.asarray, and one of another
+        shape raises, since K[i] = out would broadcast a scalar."""
+        t, y, ufn, shape = self.t, self.y, self.ufn, self.y.shape
+        K = np.empty((7, y.size))
+        K[0] = self._k1
+        for i in range(1, 7):
+            yi = y + h * (_A[i] @ K[:i])
+            out = f(yi, ufn(t + _C[i] * h))
+            if out.__class__ is not np.ndarray or out.shape != shape:
+                out = np.asarray(out, dtype=float)
+                if out.shape != shape:
+                    raise ValueError(f"stage {i} returned shape {out.shape}")
+            K[i] = out
+        return K, yi
 
     def step(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
         """Advance one accepted step; returns (t_left, h, y_left, y_right, Q)."""
@@ -203,14 +221,15 @@ class Stepper:
             tiny = 10.0 * abs(math.nextafter(self.t, math.inf) - self.t)
             if h < tiny:
                 h = tiny
-            K = np.empty((7, self.y.size))
-            K[0] = self._k1
-            for i in range(1, 6):
-                yi = self.y + h * (_A[i] @ K[:i])
-                K[i] = self._rhs(self.t + _C[i] * h, yi)
-            y_new = self.y + h * (_A[6] @ K[:6])
-            K[6] = self._rhs(self.t + h, y_new)
-            self._nfev += 6
+            try:
+                K, y_new = self._stages(h, self.sys.f)
+                ok = np.isfinite(K).all()
+            except Exception:  # noqa: BLE001 - the checked pass names the failure
+                ok = False
+            if not ok:
+                # the checked evaluator raises the EvaluatorFailure of the
+                # first bad stage, as a check of every call would
+                K, y_new = self._stages(h, self.sys.eval_f)
             scale = self.cfg.atol + self.cfg.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
             e = (h * (_E @ K)) / scale
             err = math.sqrt(float(e @ e)) / n_sqrt

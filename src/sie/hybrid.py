@@ -107,7 +107,6 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     guards = guards or GuardConfig()
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x0, dtype=float)
-    v_index = 0
     t = 0.0
     segments: list[FlowSegment] = []
     impacts: list[Impact] = []
@@ -121,14 +120,22 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
         return HybridTrajectory(segments=tuple(segments), impacts=tuple(impacts),
                                 t_final=t, termination=kind, error=err)
 
+    def _reset(t_hit: float, x_minus: np.ndarray) -> np.ndarray:
+        """Apply the reset with the next discrete input, log the impact and
+        move the clock to it; ResetNotInSPlus when the reset state lands on
+        the wrong side, for the initial reset as for any other."""
+        nonlocal t
+        k = len(impacts)
+        v_k = vbar[k]
+        x_plus = sys.eval_delta(x_minus, v_k)
+        impacts.append(Impact(k=k, t=t_hit, x_minus=x_minus, v=np.asarray(v_k, float), x_plus=x_plus))
+        t = t_hit
+        check_reset_side(sys, x_plus)
+        return x_plus
+
     try:
         if abs(h0) <= surface_tol(x):
-            v0 = vbar[v_index]
-            x_plus = sys.eval_delta(x, v0)
-            check_reset_side(sys, x_plus)
-            impacts.append(Impact(k=0, t=0.0, x_minus=x.copy(), v=np.asarray(v0, float), x_plus=x_plus))
-            v_index += 1
-            x = x_plus
+            x = _reset(0.0, x.copy())
 
         while t < t_final:
             search = first_crossing(sys, x, u, t, t_final, cfg)
@@ -138,22 +145,14 @@ def simulate(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
                 return _terminate("horizon-reached")
             ev = search.event
             dwell = ev.t_hit - t
-            v_k = vbar[v_index]
-            x_plus = sys.eval_delta(ev.x_minus, v_k)
-            impacts.append(Impact(k=v_index, t=ev.t_hit, x_minus=ev.x_minus,
-                                  v=np.asarray(v_k, float), x_plus=x_plus))
-            t = ev.t_hit
-            try:
-                check_reset_side(sys, x_plus)
-            except ResetNotInSPlus as exc:
-                return _terminate("beating-guard", str(exc))
-            v_index += 1
-            x = x_plus
+            x = _reset(ev.t_hit, ev.x_minus)
             if dwell < min_dwell:
                 return _terminate("zeno-guard", f"inter-impact interval {dwell:.3g} below {min_dwell:.3g}")
             if len(impacts) > guards.k_max:
                 return _terminate("zeno-guard", f"impact count exceeded {guards.k_max}")
         return _terminate("horizon-reached")
+    except ResetNotInSPlus as exc:
+        return _terminate("beating-guard", str(exc))
     except Blowup as exc:
         if exc.segment is not None:
             segments.append(exc.segment)

@@ -355,12 +355,17 @@ class EquivalenceVerdict:
 
 
 def _bootstrap_median_diff(low: np.ndarray, high: np.ndarray, seed: int) -> float:
+    """5th percentile of median(high*) - median(low*) over _N_BOOT paired
+    resamples.  rng.choice(a, size=len(a)) draws a[rng.integers(0, len(a),
+    len(a))], so drawing the indices in the same order keeps the stream,
+    and one median per side over all resamples replaces one per resample."""
     rng = np.random.default_rng(seed)
-    diffs = np.empty(_N_BOOT)
+    lo = np.empty((_N_BOOT, len(low)), dtype=np.intp)
+    hi = np.empty((_N_BOOT, len(high)), dtype=np.intp)
     for b in range(_N_BOOT):
-        lo = rng.choice(low, size=len(low), replace=True)
-        hi = rng.choice(high, size=len(high), replace=True)
-        diffs[b] = np.median(hi) - np.median(lo)
+        lo[b] = rng.integers(0, len(low), size=len(low))
+        hi[b] = rng.integers(0, len(high), size=len(high))
+    diffs = np.median(high[hi], axis=1) - np.median(low[lo], axis=1)
     return float(np.quantile(diffs, 0.05))
 
 

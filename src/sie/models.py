@@ -61,6 +61,7 @@ def _linear_reset(a: float) -> HybridSystemDef:
         n=2, p=1, q=1, f=f, delta=delta,
         h=lambda x: 1.0 - x[0],
         grad_h=lambda x: np.array([-1.0, 0.0]),
+        surface=((-1.0, 0.0), 1.0),
         name="linear-reset",
     )
 
@@ -107,6 +108,7 @@ def _rimless_wheel(alpha: float, gamma: float, g_over_l: float) -> HybridSystemD
         n=2, p=1, q=1, f=f, delta=delta,
         h=lambda x: (gamma + alpha) - x[0],
         grad_h=lambda x: np.array([-1.0, 0.0]),
+        surface=((-1.0, 0.0), gamma + alpha),
         name="rimless-wheel",
     )
 
@@ -125,11 +127,6 @@ def _rimless_oracle(alpha: float, gamma: float, g_over_l: float) -> OraclePack:
         eigenvalues=(c2a * c2a,),
         poincare_map=pmap,
     )
-
-
-def rimless_capture_speed(alpha: float, gamma: float, g_over_l: float) -> float:
-    """Minimum post-reset angular speed that clears the apex (energy balance)."""
-    return math.sqrt(2.0 * g_over_l * (1.0 - math.cos(gamma - alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +186,7 @@ def _bouncing_ball(g: float, restitution: float) -> HybridSystemDef:
         n=2, p=1, q=1, f=f, delta=delta,
         h=lambda x: x[0],
         grad_h=lambda x: np.array([1.0, 0.0]),
+        surface=((1.0, 0.0), 0.0),
         surface_reset_ok=True,
         name="bouncing-ball",
     )

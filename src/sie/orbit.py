@@ -25,6 +25,11 @@ _DS_MAX_REL = 1e-3
 _TAU_TOL_REL = 1e-12
 _TAU_SET_TOL = 1e-9
 _BLOCK_ELEMENTS = 1 << 15  # row-chord pairs per nearest_chords block
+_GROUP = 64  # consecutive chords per bounding ball
+# nearest_chords keeps a chord group unless its squared lower bound exceeds
+# the smallest squared upper bound by this, relative to the squared size of
+# the coordinates: thousands of times the rounding of a chord distance
+_PRUNE_REL = 1e-12
 _NEWTON_MAX_ITERS = 100  # bisecting a whole period to the tau tolerance takes 40
 _REFINE_BELOW = 5e-2  # orbital_deviations refines the chord distance below this
 
@@ -67,11 +72,19 @@ class Chords:
     """The chords of a sample polyline, built once per polyline: start
     points, direction vectors and squared lengths, one contiguous array per
     coordinate.  A zero-length chord (a repeated sample) gets squared length
-    1, so it counts as its start point."""
+    1, so it counts as its start point.
+
+    `of` also cuts the chords into groups of _GROUP consecutive ones:
+    `groups` holds them as (groups, _GROUP) arrays, the last group padded
+    with copies of the last chord, and each group's samples lie in the ball
+    of its `centers` row and `radii` entry."""
 
     starts: tuple[np.ndarray, ...]
     dirs: tuple[np.ndarray, ...]
     sq_lengths: np.ndarray
+    groups: Chords | None = None
+    centers: np.ndarray | None = None
+    radii: np.ndarray | None = None
 
     @classmethod
     def of(cls, points: np.ndarray) -> "Chords":
@@ -79,8 +92,17 @@ class Chords:
         d = points[1:] - p
         sq = np.einsum("ij,ij->i", d, d)
         sq[sq == 0.0] = 1.0
+        n_groups = -(-len(sq) // _GROUP)
+        pad = np.minimum(np.arange(n_groups * _GROUP), len(sq) - 1).reshape(n_groups, _GROUP)
+        # a group's samples: its chords' starts and its last chord's end
+        samples = points[np.column_stack([pad, pad[:, -1] + 1])]
+        centers = 0.5 * (samples.min(axis=1) + samples.max(axis=1))
+        radii = np.sqrt(((samples - centers[:, None]) ** 2).sum(axis=-1).max(axis=1))
+        groups = cls(starts=tuple(c[pad] for c in p.T), dirs=tuple(c[pad] for c in d.T),
+                     sq_lengths=sq[pad])
         return cls(starts=tuple(np.ascontiguousarray(c) for c in p.T),
-                   dirs=tuple(np.ascontiguousarray(c) for c in d.T), sq_lengths=sq)
+                   dirs=tuple(np.ascontiguousarray(c) for c in d.T), sq_lengths=sq,
+                   groups=groups, centers=centers, radii=radii)
 
 
 def _chord_sq_distances(chords: Chords, xs: np.ndarray) -> np.ndarray:
@@ -104,21 +126,71 @@ def _chord_sq_distances(chords: Chords, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def nearest_chords(chords: Chords, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and distance of the nearest chord for each row of xs.
+def _live_groups(chords: Chords, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, group) pairs, in row then group order, of every chord group
+    that may hold a row's nearest chord: the distance to a group's ball
+    bounds its chords' distances from below, and the distance to its
+    center plus its radius bounds the nearest chord's from above.  A group
+    is dropped only when its lower bound clears the smallest upper bound by
+    far more than the rounding of either bound or of a chord distance."""
+    sq = xs[:, None, :] - chords.centers
+    sq *= sq
+    dc = np.sqrt(sq.sum(axis=-1))
+    upper = (dc + chords.radii).min(axis=1)
+    size = np.abs(xs).max(axis=1) + (np.abs(chords.centers).max() + chords.radii.max())
+    upper *= upper
+    upper += _PRUNE_REL * (1.0 + size) ** 2
+    dc -= chords.radii
+    np.maximum(dc, 0.0, out=dc)
+    dc *= dc
+    return np.nonzero(dc <= upper[:, None])
 
-    Rows go through `_chord_sq_distances` in blocks of at most
-    _BLOCK_ELEMENTS row-chord pairs, keeping only each row's minimum, so
-    memory stays flat however many rows there are.
+
+def nearest_chords(chords: Chords, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and distance of the nearest chord for each row of xs, the
+    first one on a tie, as the argmin of `_chord_sq_distances` over every
+    chord gives them.
+
+    Only the chord groups that `_live_groups` keeps are measured, with
+    `_chord_sq_distances`' own arithmetic.  Rows and measured row-chord
+    pairs go in blocks of at most _BLOCK_ELEMENTS elements, so memory stays
+    flat however many rows there are.
     """
-    rows = max(1, _BLOCK_ELEMENTS // len(chords.sq_lengths))
+    grp = chords.groups
     idx = np.empty(len(xs), dtype=np.intp)
-    sq = np.empty(len(xs))
+    sq = np.full(len(xs), np.inf)
+    # the bounds take a (rows, groups, n) array; measured pairs go a quarter
+    # block at a time, since their gathered chords take memory besides the
+    # distances, and memory stays below a full block's
+    rows = max(1, _BLOCK_ELEMENTS // (len(chords.radii) * xs.shape[1]))
+    pairs = max(1, _BLOCK_ELEMENTS // (4 * _GROUP))
     for lo in range(0, len(xs), rows):
-        chord = _chord_sq_distances(chords, xs[lo:lo + rows])
-        best = np.argmin(chord, axis=1)
-        idx[lo:lo + rows] = best
-        sq[lo:lo + rows] = chord[np.arange(len(best)), best]
+        live_row, live_group = _live_groups(chords, xs[lo:lo + rows])
+        live_row += lo
+        for a in range(0, len(live_row), pairs):
+            r, g = live_row[a:a + pairs], live_group[a:a + pairs]
+            part = Chords(starts=tuple(c[g] for c in grp.starts), dirs=tuple(c[g] for c in grp.dirs),
+                          sq_lengths=grp.sq_lengths[g])
+            chord = _chord_sq_distances(part, xs[r])
+            best = np.argmin(chord, axis=1)
+            d2 = chord[np.arange(len(best)), best]
+            # the first pair of each row reaching the row's smallest value in
+            # this block: groups ascend within a row, so it is the lowest chord
+            order = np.lexsort((d2, r))
+            first = order[np.r_[True, r[order][1:] != r[order][:-1]]]
+            # a strict < keeps the lower chord index from an earlier block
+            take = first[d2[first] < sq[r[first]]]
+            sq[r[take]] = d2[take]
+            idx[r[take]] = g[take] * _GROUP + best[take]
+    # a row that no group brought below inf (a non-finite row, or one whose
+    # distances overflow) takes the full pass in row blocks
+    left = np.flatnonzero(~(sq < np.inf))
+    rows = max(1, _BLOCK_ELEMENTS // len(chords.sq_lengths))
+    for a in range(0, len(left), rows):
+        r = left[a:a + rows]
+        chord = _chord_sq_distances(chords, xs[r])
+        idx[r] = np.argmin(chord, axis=1)
+        sq[r] = chord[np.arange(len(r)), idx[r]]
     return idx, np.sqrt(sq)
 
 

@@ -218,6 +218,26 @@ class TestValidateSystem:
                 fd = sys._fd_gradient(x)
                 assert euclidean(analytic - fd) <= 1e-5 * max(1.0, euclidean(fd))
 
+    def test_declared_surfaces_match_h(self):
+        rng = np.random.default_rng(5)
+        for name, entry in models.catalog().items():
+            sys = entry.factory(**entry.defaults)
+            if sys.surface is not None:
+                validate_system(sys, list(rng.normal(scale=10.0, size=(20, sys.n))))
+
+    def test_wrong_surface_declaration_is_a_precondition_error(self, linear_sys):
+        from dataclasses import replace
+        wrong = replace(linear_sys, surface=((-1.0, 0.0), 1.0 + 1e-9))
+        with pytest.raises(PreconditionError, match="probe 0: declared surface"):
+            validate_system(wrong, [np.array([1.0, 0.0]), np.array([0.5, 2.0])])
+
+    @pytest.mark.parametrize("surface", [((1.0,), 0.0), ((1.0, math.nan), 0.0),
+                                         ((1.0, 0.0), math.inf)])
+    def test_malformed_surface_is_refused(self, surface):
+        with pytest.raises(PreconditionError):
+            HybridSystemDef(n=2, p=1, q=1, f=lambda x, u: x, delta=lambda x, v: x,
+                            h=lambda x: float(x[0]), surface=surface)
+
 
 def test_types_are_immutable(linear_sys):
     u = ContinuousSignal.zero(1)

@@ -99,6 +99,19 @@ class TestGuards:
         traj = simulate(sysd, np.array([0.0, 0.0]), U0, V0, 3.0)
         assert traj.termination == "beating-guard"
 
+    @pytest.mark.parametrize("x0, t_hit", [(1.0, 0.0), (0.0, 1.0)])
+    def test_wrong_side_reset_is_beating_from_any_start(self, x0, t_hit):
+        # the same reset at the start, on the surface, and after a crossing
+        sysd = HybridSystemDef(n=1, p=1, q=1, f=lambda x, u: np.array([1.0]),
+                               delta=lambda x, v: np.array([2.0]), h=lambda x: 1.0 - x[0])
+        traj = simulate(sysd, np.array([x0]), U0, V0, 3.0)
+        assert traj.termination == "beating-guard"
+        assert "reset landed at H=-1" in traj.error
+        assert len(traj.impacts) == 1
+        assert traj.impacts[0].k == 0 and traj.impacts[0].x_plus[0] == 2.0
+        assert traj.impacts[0].t == pytest.approx(t_hit, abs=1e-12)
+        assert traj.t_final == traj.impacts[0].t
+
     def test_escape_on_blowup(self):
         sysd = HybridSystemDef(n=1, p=1, q=1,
                                f=lambda x, u: np.array([x[0] ** 2]),

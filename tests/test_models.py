@@ -98,10 +98,6 @@ class TestOracles:
     def test_bouncing_ball_has_no_oracle_pack(self):
         assert models.oracle("bouncing-ball") is None
 
-    def test_capture_speed_helper(self):
-        v = models.rimless_capture_speed(math.pi / 8, 0.08, 9.81)
-        assert v == pytest.approx(0.9754168743931118, rel=1e-12)
-
 
 def test_vdp_mu0_map_is_identity_on_section():
     sysd = models.model("vdp-adapter", mu=0.0)
