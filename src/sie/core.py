@@ -1,7 +1,7 @@
 """Domain types shared by every module: the system triple (f, delta, H),
 continuous and discrete input signals with sup-norm queries, and the
-central-difference derivative shared by the gradient and Jacobian
-estimates.
+central-difference derivative that stands in for every derivative a model
+does not declare.
 
 All types are immutable after construction and safe to share between threads.
 The Euclidean norm is used throughout; per-space norms are never mixed.
@@ -22,6 +22,13 @@ _SURFACE_TOL = 1e-8  # |H| below this, relative to max(1, |x|), is on the surfac
 # a declared affine surface must reproduce h to this, relative to the size of
 # its terms: rounding of one dot product, well inside the event scan's margin
 _AFFINE_MATCH_REL = 1e-13
+# central-difference step of the stand-in derivatives (grad H, Df, D delta):
+# the O(step^2) error sits near 1e-12 times the local curvature
+_FD_REL_STEP = 1e-6
+# a declared jac_f or jac_delta must match central differences to this,
+# relative to the size of the map and its derivative: far above the
+# stand-in's rounding (about 1e-10), far below any wrong entry
+_JAC_MATCH_REL = 1e-6
 
 
 def surface_tol(x: np.ndarray) -> float:
@@ -57,8 +64,10 @@ class HybridSystemDef:
     """The triple (f, delta, H) with dimensions (n, p, q).
 
     f(x, u_value) is the vector field, delta(x, v_value) the reset applied on
-    the switching surface S = {H(x) = 0}, and grad_h an optional analytic
-    gradient of H (central differences otherwise).  Evaluators must be total:
+    the switching surface S = {H(x) = 0}.  Optional analytic derivatives:
+    grad_h(x) of H, jac_f(x, u_value) = Df (n x n, in x) and
+    jac_delta(x, v_value) = D delta (n x n, in x); central differences
+    stand in for any that is left out.  Evaluators must be total:
     exceptions and non-finite outputs surface as EvaluatorFailure, never as
     silent NaN propagation.
 
@@ -69,7 +78,7 @@ class HybridSystemDef:
 
     surface = (g, c) declares H affine, H(x) = c + g . x, which lets the
     event scan clear a whole step at once; `validate_system` checks it
-    against h.
+    against h, and checks jac_f and jac_delta against central differences.
     """
 
     n: int
@@ -83,6 +92,8 @@ class HybridSystemDef:
     name: str = ""
     # compare=False: an array field would make == and hash raise
     surface: tuple[np.ndarray, float] | None = field(default=None, compare=False)
+    jac_f: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jac_delta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.surface is not None:
@@ -120,21 +131,43 @@ class HybridSystemDef:
         return out
 
     def surface_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of H when provided, else central differences
-        with step 1e-6 * max(1, |x_i|) per component (H is smooth, so the
-        O(step^2) error sits near 1e-12 times the local curvature)."""
+        """grad H(x): the declared grad_h, else central differences."""
         if self.grad_h is not None:
-            try:
-                g = np.asarray(self.grad_h(x), dtype=float)
-            except Exception as exc:  # noqa: BLE001
-                raise EvaluatorFailure("grad_h", x, str(exc)) from exc
-            if g.shape != (self.n,) or not np.all(np.isfinite(g)):
-                raise EvaluatorFailure("grad_h", x, f"returned {g!r}")
-            return g
+            return _checked(self.grad_h, "grad_h", (self.n,), x)
         return self._fd_gradient(x)
 
     def _fd_gradient(self, x: np.ndarray) -> np.ndarray:
-        return central_difference(self.eval_h, x, 1e-6)
+        return central_difference(self.eval_h, x, _FD_REL_STEP)
+
+    def flow_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
+        """Df(x, u): the declared jac_f, else central differences of f."""
+        if self.jac_f is not None:
+            return _checked(self.jac_f, "jac_f", (self.n, self.n), x, u_value)
+        return _fd_jacobian(self.eval_f, x, u_value)
+
+    def reset_jacobian(self, x: np.ndarray, v_value: np.ndarray) -> np.ndarray:
+        """D delta(x, v): the declared jac_delta, else central differences of
+        delta."""
+        if self.jac_delta is not None:
+            return _checked(self.jac_delta, "jac_delta", (self.n, self.n), x, v_value)
+        return _fd_jacobian(self.eval_delta, x, v_value)
+
+
+def _fd_jacobian(evaluate, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Central differences of x -> evaluate(x, w)."""
+    return central_difference(lambda y: evaluate(y, w), x, _FD_REL_STEP)
+
+
+def _checked(fn, which: str, shape: tuple[int, ...], x: np.ndarray, *args) -> np.ndarray:
+    """fn(x, *args) as a float array of the given shape with finite entries,
+    else EvaluatorFailure labelled `which`."""
+    try:
+        out = np.asarray(fn(x, *args), dtype=float)
+    except Exception as exc:  # noqa: BLE001
+        raise EvaluatorFailure(which, x, str(exc)) from exc
+    if out.shape != shape or not np.all(np.isfinite(out)):
+        raise EvaluatorFailure(which, x, f"returned {out!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +406,11 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
     provided) matches central differences to 1e-5 relative, and gradients that
     vanish on the surface (below 1e-12, breaking the codimension-1 structure)
     are flagged.  Evaluator exceptions propagate as EvaluatorFailure with the
-    probe index attached; a declared affine surface that misses h by more
-    than _AFFINE_MATCH_REL of its terms' size raises PreconditionError.
+    probe index attached.  A declared affine surface that misses h by more
+    than _AFFINE_MATCH_REL of its terms' size, and a declared jac_f or
+    jac_delta (at zero input) that misses central differences by more than
+    _JAC_MATCH_REL of the size of the map and its derivative, raise
+    PreconditionError.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_states]
     if not probes:
@@ -382,13 +418,22 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
     if any(not np.all(np.isfinite(p)) for p in probes):
         raise PreconditionError("probe states must be finite")
 
+    u0, v0 = np.zeros(sys.p), np.zeros(sys.q)
     results = []
     for idx, x in enumerate(probes):
         try:
-            fv = sys.eval_f(x, np.zeros(sys.p))
-            dv = sys.eval_delta(x, np.zeros(sys.q))
+            fv = sys.eval_f(x, u0)
+            dv = sys.eval_delta(x, v0)
             hv = sys.eval_h(x)
             grad = sys.surface_gradient(x)
+            # (name, declared, central differences, size of the map)
+            declared = []
+            if sys.jac_f is not None:
+                declared.append(("jac_f", sys.flow_jacobian(x, u0),
+                                 _fd_jacobian(sys.eval_f, x, u0), fv))
+            if sys.jac_delta is not None:
+                declared.append(("jac_delta", sys.reset_jacobian(x, v0),
+                                 _fd_jacobian(sys.eval_delta, x, v0), dv))
         except EvaluatorFailure as exc:
             exc.detail = f"probe {idx}: {exc.detail}"
             raise
@@ -398,6 +443,11 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
             if abs(affine - hv) > _AFFINE_MATCH_REL * (1.0 + abs(c) + np.abs(g) @ np.abs(x)):
                 raise PreconditionError(
                     f"probe {idx}: declared surface gives H={affine!r}, h gives {hv!r}")
+        for which, jac, fd, value in declared:
+            miss = euclidean(jac - fd)
+            if not miss <= _JAC_MATCH_REL * max(1.0, euclidean(fd), euclidean(value)):
+                raise PreconditionError(
+                    f"probe {idx}: declared {which} misses central differences by {miss:.3g}")
         mismatch = 0.0
         if sys.grad_h is not None:
             fd = sys._fd_gradient(x)

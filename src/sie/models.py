@@ -62,6 +62,8 @@ def _linear_reset(a: float) -> HybridSystemDef:
         h=lambda x: 1.0 - x[0],
         grad_h=lambda x: np.array([-1.0, 0.0]),
         surface=((-1.0, 0.0), 1.0),
+        jac_f=lambda x, u: np.array([[0.0, 0.0], [0.0, -a]]),
+        jac_delta=lambda x, v: np.array([[0.0, 0.0], [0.0, 1.0]]),
         name="linear-reset",
     )
 
@@ -109,6 +111,8 @@ def _rimless_wheel(alpha: float, gamma: float, g_over_l: float) -> HybridSystemD
         h=lambda x: (gamma + alpha) - x[0],
         grad_h=lambda x: np.array([-1.0, 0.0]),
         surface=((-1.0, 0.0), gamma + alpha),
+        jac_f=lambda x, u: np.array([[0.0, 1.0], [g_over_l * math.cos(x[0]), 0.0]]),
+        jac_delta=lambda x, v: np.array([[0.0, 0.0], [0.0, c2a]]),
         name="rimless-wheel",
     )
 
@@ -143,6 +147,9 @@ def _vdp_adapter(mu: float, gate: float) -> HybridSystemDef:
     def f(x, u):
         return np.array([x[1], mu * (1.0 - x[0] * x[0]) * x[1] - x[0] + u[0]])
 
+    def jac_f(x, u):
+        return np.array([[0.0, 1.0], [-2.0 * mu * x[0] * x[1] - 1.0, mu * (1.0 - x[0] * x[0])]])
+
     def h(x):
         neg = -x[0]
         return x[1] + (gate * neg * neg * neg if neg > 0.0 else 0.0)
@@ -157,6 +164,8 @@ def _vdp_adapter(mu: float, gate: float) -> HybridSystemDef:
         delta=lambda x, v: np.asarray(x, dtype=float).copy(),
         h=h, grad_h=grad_h,
         surface_reset_ok=True,
+        jac_f=jac_f,
+        jac_delta=lambda x, v: np.eye(2),
         name="vdp-adapter",
     )
 
@@ -188,6 +197,8 @@ def _bouncing_ball(g: float, restitution: float) -> HybridSystemDef:
         grad_h=lambda x: np.array([1.0, 0.0]),
         surface=((1.0, 0.0), 0.0),
         surface_reset_ok=True,
+        jac_f=lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),
+        jac_delta=lambda x, v: np.array([[0.0, 0.0], [0.0, -restitution]]),
         name="bouncing-ball",
     )
 

@@ -12,7 +12,8 @@ import sie.orbit as orbit_mod
 from sie.orbit import (_TAU_TOL_REL, Prop1Report, UpperBoundViolation, _newton_refine,
                        _newton_refine_many, build_orbit, certify_prop1, dist_to_orbit,
                        nearest_chords, orbital_deviations, refine_distance)
-from sie.poincare import SurfaceChart, find_fixed_point, zero_inputs
+from sie.poincare import (SurfaceChart, _state_columns, _Variational, find_fixed_point,
+                          zero_inputs)
 from tests.conftest import RIMLESS_OMEGA_PLUS
 
 
@@ -65,13 +66,16 @@ class TestBuildOrbit:
 
 
 def _reintegrated_orbit(sysd, report):
-    """Reference: the orbit from one more integration of the zero-input flow
-    from the reset image of x* over exactly [0, T*] at the map tolerances,
-    in place of the segment of Newton's converged map evaluation."""
+    """Reference: the orbit from one more integration of the zero-input flow,
+    carried with its variational matrix as Newton's map evaluations carry
+    it, from the reset image of x* over exactly [0, T*] at the map
+    tolerances, in place of the segment of Newton's converged map
+    evaluation."""
     u0, v0 = zero_inputs(sysd)
-    seg = integrate(sysd, sysd.eval_delta(report.x_star, v0), u0, (0.0, report.t_star),
-                    IntegratorConfig(rtol=1e-12, atol=1e-14))
-    return build_orbit(sysd, replace(report, segment=seg))
+    var = _Variational.of(sysd)
+    x0 = var.eval_delta(np.concatenate((report.x_star, np.zeros(sysd.n ** 2))), v0)
+    seg = integrate(var, x0, u0, (0.0, report.t_star), IntegratorConfig(rtol=1e-12, atol=1e-14))
+    return build_orbit(sysd, replace(report, segment=_state_columns(seg, sysd.n)))
 
 
 @pytest.mark.parametrize("sys_name,report_name", [

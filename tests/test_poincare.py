@@ -7,8 +7,8 @@ from sie.core import ContinuousSignal, HybridSystemDef
 from sie.errors import (ChartSingular, InfiniteTimeToImpact, NewtonDiverged,
                         PreconditionError, SieError)
 from sie.events import time_to_impact
-from sie.poincare import (SurfaceChart, _map_cfg, find_fixed_point, linearize,
-                          poincare_map, zero_inputs)
+from sie.poincare import (SurfaceChart, _map_cfg, _Variational, find_fixed_point,
+                          linearize, poincare_map, zero_inputs)
 from sie import models
 from tests.conftest import (RIMLESS_EIG, RIMLESS_OMEGA_STAR,
                             RIMLESS_T_STAR, RIMLESS_THETA_IMPACT)
@@ -77,14 +77,17 @@ class TestFindFixedPoint:
         ("vdp_sys", "vdp_report", 20.0)])
     def test_t_star_and_segment_come_from_the_converged_map_evaluation(
             self, sys_name, report_name, t_cap, request):
-        # the same flow as a separate time-to-impact query from x*, bit for bit
+        # the state columns of a separate variational time-to-impact query
+        # from x*, bit for bit
         sysd, rep = request.getfixturevalue(sys_name), request.getfixturevalue(report_name)
         u0, v0 = zero_inputs(sysd)
-        again = time_to_impact(sysd, rep.x_star, u0, v0, _map_cfg(None), t_cap)
+        n = sysd.n
+        x0 = np.concatenate((rep.x_star, np.zeros(n * n)))
+        again = time_to_impact(_Variational.of(sysd), x0, u0, v0, _map_cfg(None), t_cap)
         assert rep.t_star == again.time
         assert rep.segment.t0 == 0.0 and rep.segment.t1 == rep.t_star
-        assert np.array_equal(rep.segment.ys, again.segment.ys)
-        assert np.array_equal(rep.segment.qs, again.segment.qs)
+        assert np.array_equal(rep.segment.ys, again.segment.ys[:, :n])
+        assert np.array_equal(rep.segment.qs, again.segment.qs[:, :n])
 
     def test_vdp_mu0_converges_immediately(self):
         sysd = models.model("vdp-adapter", mu=0.0)
@@ -105,9 +108,11 @@ class TestLinearize:
         assert abs(rimless_report.eigenvalues[0]) == pytest.approx(RIMLESS_EIG, abs=1e-5)
         assert rimless_report.verdict == "LES"
 
-    def test_fd_step_halving_consistency(self, linear_report, rimless_report):
+    def test_central_difference_matches_variational_jacobian(self, linear_report,
+                                                             rimless_report):
         for rep in (linear_report, rimless_report):
-            assert rep.fd_consistency <= 1e-4 * max(1.0, rep.spectral_radius)
+            assert rep.fd_consistency == np.max(np.abs(rep.jacobian - rep.variational_jacobian))
+            assert rep.fd_consistency <= 1e-8 * max(1.0, rep.spectral_radius)
 
     def test_vdp_attracting_cycle(self):
         sysd = models.model("vdp-adapter", mu=0.2)
