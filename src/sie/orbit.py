@@ -24,7 +24,7 @@ _CLOSURE_REL = 1e-8
 _DS_MAX_REL = 1e-3
 _TAU_TOL_REL = 1e-12
 _TAU_SET_TOL = 1e-9
-_BLOCK_ELEMENTS = 1 << 15  # row-chord pairs per nearest_chords block
+_BLOCK_ELEMENTS = 1 << 15  # point pairs per block of nearest_chords and the diameter
 _GROUP = 64  # consecutive chords per bounding ball
 # nearest_chords keeps a chord group unless its squared lower bound exceeds
 # the smallest squared upper bound by this, relative to the squared size of
@@ -216,8 +216,14 @@ def build_orbit(sys: HybridSystemDef, report: StabilityReport) -> PeriodicOrbit:
 
     nodes = np.concatenate([seg.ts, [report.t_star]])
     pts = seg.eval_many(nodes)
-    diff = pts[:, None, :] - pts[None, :, :]
-    diameter = float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+    # the widest pair of nodes, in row blocks of _BLOCK_ELEMENTS pairs so
+    # memory stays linear in the node count
+    rows = max(1, _BLOCK_ELEMENTS // len(pts))
+    widest = 0.0
+    for i in range(0, len(pts), rows):
+        diff = pts[i:i + rows, None, :] - pts[None, :, :]
+        widest = max(widest, float(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+    diameter = math.sqrt(widest)
     if diameter <= 0.0:
         raise ClosureError("orbit has zero diameter")
     ds_max = _DS_MAX_REL * diameter
