@@ -256,6 +256,8 @@ def find_fixed_point(sys: HybridSystemDef, x_guess: np.ndarray,
             try:
                 f_try, j_try, c_try = residual(z_try)
             except InfiniteTimeToImpact:
+                # a trial that never returns fails, like one that does not
+                # reduce the residual: the solve halves and goes on
                 continue
             r_try = float(np.linalg.norm(f_try))
             if r_try < res:
