@@ -5,7 +5,7 @@ periodic orbits and input-to-state stability sweeps."""
 from .core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
                    ValidationReport, validate_system)
 from .errors import SieError
-from .events import ImpactEvent, TimeToImpact, time_to_impact
+from .events import ImpactEvent, TimeToImpact
 from .flow import FlowSegment, IntegratorConfig, integrate
 from .hybrid import GuardConfig, HybridTrajectory, Impact, simulate
 from .iss import (DecayFit, EquivalenceVerdict, GainFit, IssSweepReport,
@@ -20,7 +20,7 @@ from .poincare import (StabilityReport, SurfaceChart, find_fixed_point,
 __all__ = [
     "ContinuousSignal", "DiscreteSequence", "HybridSystemDef",
     "ValidationReport", "validate_system",
-    "SieError", "ImpactEvent", "TimeToImpact", "time_to_impact",
+    "SieError", "ImpactEvent", "TimeToImpact",
     "FlowSegment", "IntegratorConfig", "integrate",
     "GuardConfig", "HybridTrajectory", "Impact", "simulate",
     "DecayFit", "EquivalenceVerdict", "GainFit", "IssSweepReport",

@@ -104,24 +104,14 @@ class HybridSystemDef:
             object.__setattr__(self, "surface", (g, c))
 
     def eval_f(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(self.f(x, u_value), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - converted to structured failure
-            raise EvaluatorFailure("f", x, str(exc)) from exc
-        if out.shape != (self.n,) or not np.isfinite(out).all():
-            raise EvaluatorFailure("f", x, f"returned {out!r}")
-        return out
+        return _checked(self.f, "f", (self.n,), x, u_value)
 
     def eval_delta(self, x: np.ndarray, v_value: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(self.delta(x, v_value), dtype=float)
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluatorFailure("delta", x, str(exc)) from exc
-        if out.shape != (self.n,) or not np.all(np.isfinite(out)):
-            raise EvaluatorFailure("delta", x, f"returned {out!r}")
-        return out
+        return _checked(self.delta, "delta", (self.n,), x, v_value)
 
     def eval_h(self, x: np.ndarray) -> float:
+        # a plain float path: the event scan calls it about ten times as
+        # often as any other evaluator, at a tenth of `_checked`'s cost
         try:
             out = float(self.h(x))
         except Exception as exc:  # noqa: BLE001
@@ -131,31 +121,20 @@ class HybridSystemDef:
         return out
 
     def surface_gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad H(x): the declared grad_h, else central differences."""
-        if self.grad_h is not None:
-            return _checked(self.grad_h, "grad_h", (self.n,), x)
-        return self._fd_gradient(x)
-
-    def _fd_gradient(self, x: np.ndarray) -> np.ndarray:
-        return central_difference(self.eval_h, x, _FD_REL_STEP)
+        """grad H(x): the declared grad_h, else central differences of h."""
+        return _derivative(self.eval_h, x, declared=self.grad_h, which="grad_h",
+                           shape=(self.n,))
 
     def flow_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         """Df(x, u): the declared jac_f, else central differences of f."""
-        if self.jac_f is not None:
-            return _checked(self.jac_f, "jac_f", (self.n, self.n), x, u_value)
-        return _fd_jacobian(self.eval_f, x, u_value)
+        return _derivative(self.eval_f, x, u_value, declared=self.jac_f, which="jac_f",
+                           shape=(self.n, self.n))
 
     def reset_jacobian(self, x: np.ndarray, v_value: np.ndarray) -> np.ndarray:
         """D delta(x, v): the declared jac_delta, else central differences of
         delta."""
-        if self.jac_delta is not None:
-            return _checked(self.jac_delta, "jac_delta", (self.n, self.n), x, v_value)
-        return _fd_jacobian(self.eval_delta, x, v_value)
-
-
-def _fd_jacobian(evaluate, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Central differences of x -> evaluate(x, w)."""
-    return central_difference(lambda y: evaluate(y, w), x, _FD_REL_STEP)
+        return _derivative(self.eval_delta, x, v_value, declared=self.jac_delta,
+                           which="jac_delta", shape=(self.n, self.n))
 
 
 def _checked(fn, which: str, shape: tuple[int, ...], x: np.ndarray, *args) -> np.ndarray:
@@ -163,11 +142,21 @@ def _checked(fn, which: str, shape: tuple[int, ...], x: np.ndarray, *args) -> np
     else EvaluatorFailure labelled `which`."""
     try:
         out = np.asarray(fn(x, *args), dtype=float)
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - converted to structured failure
         raise EvaluatorFailure(which, x, str(exc)) from exc
-    if out.shape != shape or not np.all(np.isfinite(out)):
+    if out.shape != shape or not np.isfinite(out).all():
         raise EvaluatorFailure(which, x, f"returned {out!r}")
     return out
+
+
+def _derivative(evaluate, x: np.ndarray, *args, declared=None, which: str = "",
+                shape: tuple[int, ...] = ()) -> np.ndarray:
+    """The derivative in x of the checked evaluator x -> evaluate(x, *args):
+    the declared one, checked by `_checked` as `which` of the given shape,
+    else (and always when declared is None) central differences."""
+    if declared is not None:
+        return _checked(declared, which, shape, x, *args)
+    return central_difference(lambda y: evaluate(y, *args), x, _FD_REL_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +419,10 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
             declared = []
             if sys.jac_f is not None:
                 declared.append(("jac_f", sys.flow_jacobian(x, u0),
-                                 _fd_jacobian(sys.eval_f, x, u0), fv))
+                                 _derivative(sys.eval_f, x, u0), fv))
             if sys.jac_delta is not None:
                 declared.append(("jac_delta", sys.reset_jacobian(x, v0),
-                                 _fd_jacobian(sys.eval_delta, x, v0), dv))
+                                 _derivative(sys.eval_delta, x, v0), dv))
         except EvaluatorFailure as exc:
             exc.detail = f"probe {idx}: {exc.detail}"
             raise
@@ -450,7 +439,7 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
                     f"probe {idx}: declared {which} misses central differences by {miss:.3g}")
         mismatch = 0.0
         if sys.grad_h is not None:
-            fd = sys._fd_gradient(x)
+            fd = _derivative(sys.eval_h, x)
             mismatch = euclidean(grad - fd) / max(1.0, euclidean(fd))
         on_surface = abs(hv) <= surface_tol(x)
         degenerate = on_surface and euclidean(grad) < 1e-12

@@ -1,4 +1,4 @@
-"""Surface-crossing location and the time-to-impact map.
+"""Surface-crossing location: the first downward crossing of the free flow.
 
 Crossings are located by sign-change bracketing on the dense output of each
 accepted step (bisection, then one Newton polish using the flow derivative
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContinuousSignal, HybridSystemDef, surface_tol
-from .errors import GrazeDetected, PreconditionError, ResetNotInSPlus
+from .errors import GrazeDetected, ResetNotInSPlus
 from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment, _quartic
 
 _SAMPLES_PER_STEP = 12
@@ -183,7 +183,9 @@ class TimeToImpact:
 
 def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
                    t0: float, t_end: float, cfg: IntegratorConfig) -> TimeToImpact:
-    """Integrate from (t0, x0) stopping at the first downward crossing of H.
+    """Integrate from (t0, x0) stopping at the first downward crossing of H:
+    the free-flow time to impact T_I, with no reset applied first.  Its time
+    is math.inf when the flow does not reach the surface by t_end.
 
     The returned segment is trimmed to end at the crossing time with the
     localized pre-impact state as its final node; when no crossing occurs the
@@ -222,27 +224,3 @@ def check_reset_side(sys: HybridSystemDef, x_plus: np.ndarray) -> float:
         raise ResetNotInSPlus(h_plus)
     return h_plus
 
-
-def time_to_impact(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
-                   v: np.ndarray | None = None, cfg: IntegratorConfig | None = None,
-                   t_cap: float = 100.0) -> TimeToImpact:
-    """The crossing search from x: its time is the duration until the flow
-    next reaches the surface, its state the pre-impact state there and its
-    segment the flow in between.
-
-    With a discrete input v, x must lie on the surface and the reset
-    Delta(x, v) is applied first.  With v None, x must lie strictly above the
-    surface and the free flow starts from it unreset.  Either way the forced
-    flow is followed until a downward crossing or t_cap.
-    """
-    x = np.asarray(x, dtype=float)
-    if v is None:
-        if sys.eval_h(x) <= surface_tol(x):
-            raise PreconditionError("state must be strictly above the surface")
-        x_start = x
-    else:
-        if abs(sys.eval_h(x)) > surface_tol(x):
-            raise PreconditionError(f"state is not on the surface: H={sys.eval_h(x):.3g}")
-        x_start = sys.eval_delta(x, np.asarray(v, dtype=float))
-        check_reset_side(sys, x_start)
-    return first_crossing(sys, x_start, u, 0.0, t_cap, cfg or IntegratorConfig())

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ContinuousSignal, HybridSystemDef, central_difference
+from .core import ContinuousSignal, HybridSystemDef, central_difference, surface_tol
 from .errors import ChartSingular, InfiniteTimeToImpact, NewtonDiverged, PreconditionError
-from .events import TimeToImpact, time_to_impact
+from .events import TimeToImpact, check_reset_side, first_crossing
 from .flow import FlowSegment, IntegratorConfig
 
 # Map evaluations behind Newton and the Jacobian columns run at least this
@@ -128,9 +128,18 @@ def poincare_map(sys: HybridSystemDef, x: np.ndarray, u: ContinuousSignal,
     """P(x, u, v) = phi(T_I(Delta(x, v)), Delta(x, v)): the crossing after
     resetting x with v and flowing under u.  Its state is P(x), the pre-impact
     state of the next downward crossing, its time the return time and its
-    segment the flow between.  Raises InfiniteTimeToImpact when the flow
-    never returns before t_cap."""
-    crossing = time_to_impact(sys, x, u, v, cfg, t_cap)
+    segment the flow between.
+
+    x must lie on the surface (PreconditionError otherwise) and the reset
+    must land on its allowed side (`check_reset_side`).  Raises
+    InfiniteTimeToImpact when the flow never returns before t_cap."""
+    x = np.asarray(x, dtype=float)
+    h = sys.eval_h(x)
+    if abs(h) > surface_tol(x):
+        raise PreconditionError(f"state is not on the surface: H={h:.3g}")
+    x_plus = sys.eval_delta(x, np.asarray(v, dtype=float))
+    check_reset_side(sys, x_plus)
+    crossing = first_crossing(sys, x_plus, u, 0.0, t_cap, cfg or IntegratorConfig())
     if not crossing.finite:
         raise InfiniteTimeToImpact(t_cap)
     return crossing

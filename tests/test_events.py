@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
-from sie.errors import GrazeDetected, PreconditionError, ResetNotInSPlus
+from sie.errors import GrazeDetected, InfiniteTimeToImpact, PreconditionError, ResetNotInSPlus
 from sie.events import (_SAMPLES_PER_STEP, _refine_in_record, _scan_record, _scan_times,
-                        first_crossing, time_to_impact)
+                        first_crossing)
 from sie.flow import IntegratorConfig, Stepper, _quartic, integrate
 from sie.hybrid import simulate
+from sie.poincare import poincare_map
 from sie import models
 from tests.conftest import (RIMLESS_OMEGA_PLUS, RIMLESS_OMEGA_STAR,
                             RIMLESS_T_STAR, RIMLESS_THETA_IMPACT)
@@ -222,17 +223,17 @@ class TestCrossingProperties:
 
 class TestTimeToImpact:
     def test_fixed_point_period(self, linear_sys):
-        out = time_to_impact(linear_sys, np.array([1.0, 0.0]), U0, np.zeros(1), t_cap=5.0)
+        out = poincare_map(linear_sys, np.array([1.0, 0.0]), U0, np.zeros(1), t_cap=5.0)
         assert out.time == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(out.state, [1.0, 0.0], atol=1e-9)
 
     def test_constant_input_leaves_timer_coordinate_alone(self, linear_sys):
         u = ContinuousSignal.constant([0.7])
-        out = time_to_impact(linear_sys, np.array([1.0, 0.0]), u, np.zeros(1), t_cap=5.0)
+        out = poincare_map(linear_sys, np.array([1.0, 0.0]), u, np.zeros(1), t_cap=5.0)
         assert out.time == pytest.approx(1.0, abs=1e-9)
 
     def test_discrete_input_enters_reset(self, linear_sys):
-        out = time_to_impact(linear_sys, np.array([1.0, 0.0]), U0, np.array([0.2]), t_cap=5.0)
+        out = poincare_map(linear_sys, np.array([1.0, 0.0]), U0, np.array([0.2]), t_cap=5.0)
         # x2 -> e^{-a} (x2 + v) = 0.1
         assert out.state[1] == pytest.approx(0.1, abs=1e-9)
 
@@ -242,7 +243,10 @@ class TestTimeToImpact:
                               f=lambda x, u: np.array([1.0]),
                               delta=lambda x, v: np.array([1.0]),
                               h=lambda x: float(x[0]))
-        out = time_to_impact(sys, np.array([0.0]), U0, np.zeros(1), t_cap=3.0)
+        with pytest.raises(InfiniteTimeToImpact):
+            poincare_map(sys, np.array([0.0]), U0, np.zeros(1), t_cap=3.0)
+        # the free flow from the reset image: no crossing, time inf
+        out = first_crossing(sys, np.array([1.0]), U0, 0.0, 3.0, CFG)
         assert math.isinf(out.time)
         assert out.state is None
 
@@ -252,37 +256,33 @@ class TestTimeToImpact:
                               delta=lambda x, v: np.array([-0.5]),
                               h=lambda x: float(x[0]))
         with pytest.raises(ResetNotInSPlus):
-            time_to_impact(sys, np.array([0.0]), U0, np.zeros(1), t_cap=3.0)
+            poincare_map(sys, np.array([0.0]), U0, np.zeros(1), t_cap=3.0)
 
     def test_off_surface_state_rejected(self, linear_sys):
         with pytest.raises(PreconditionError):
-            time_to_impact(linear_sys, np.array([0.5, 0.0]), U0, np.zeros(1))
+            poincare_map(linear_sys, np.array([0.5, 0.0]), U0, np.zeros(1))
 
     def test_rimless_below_capture_is_infinite(self, rimless_sys):
         # post-reset speed cos(2a)*1.2 = 0.849 < 0.9757 needed to clear the apex
-        out = time_to_impact(rimless_sys, np.array([RIMLESS_THETA_IMPACT, 1.2]),
-                             U0, np.zeros(1), t_cap=8.0)
-        assert math.isinf(out.time)
+        with pytest.raises(InfiniteTimeToImpact):
+            poincare_map(rimless_sys, np.array([RIMLESS_THETA_IMPACT, 1.2]),
+                         U0, np.zeros(1), t_cap=8.0)
 
 
 class TestTimeToImpactFromSplus:
-    """time_to_impact without a discrete input: the free flow from a state
+    """first_crossing as the free-flow time to impact: the flow from a state
     strictly above the surface, no reset applied."""
 
     def test_timer_closed_form(self, linear_sys):
-        out = time_to_impact(linear_sys, np.array([0.25, 0.0]), U0, t_cap=5.0)
+        out = first_crossing(linear_sys, np.array([0.25, 0.0]), U0, 0.0, 5.0, CFG)
         assert out.time == pytest.approx(0.75, abs=1e-10)
         assert np.allclose(out.state, [1.0, 0.0], atol=1e-9)
-
-    def test_on_surface_start_rejected(self, linear_sys):
-        with pytest.raises(PreconditionError):
-            time_to_impact(linear_sys, np.array([1.0, 0.0]), U0)
 
     def test_vdp_cycle_returns_within_a_period(self):
         sysd = models.model("vdp-adapter", mu=0.2)
         # just past the section: x2 slightly negative is below the surface,
         # so start slightly above it instead (x2 > 0, on the cycle's way down)
-        out = time_to_impact(sysd, np.array([2.0, 0.05]), U0, t_cap=20.0)
+        out = first_crossing(sysd, np.array([2.0, 0.05]), U0, 0.0, 20.0, CFG)
         assert out.finite
         assert 0.0 < out.time < 2.0 * math.pi * (1 + 0.2 ** 2 / 16) * 1.05
         assert np.dot(sysd.surface_gradient(out.state), sysd.eval_f(out.state, np.zeros(1))) < 0.0
@@ -291,12 +291,12 @@ class TestTimeToImpactFromSplus:
 def test_time_to_impact_continuity_at_fixed_point(rimless_sys):
     # difference quotients of the impact time stay stable under halving
     x_star = np.array([RIMLESS_THETA_IMPACT, RIMLESS_OMEGA_STAR])
-    t_base = time_to_impact(rimless_sys, x_star, U0, np.zeros(1), t_cap=5.0).time
+    t_base = poincare_map(rimless_sys, x_star, U0, np.zeros(1), t_cap=5.0).time
     assert t_base == pytest.approx(RIMLESS_T_STAR, abs=1e-8)
     quotients = []
     for eps in (1e-4, 5e-5, 2.5e-5):
         x = x_star + np.array([0.0, eps])
-        t_eps = time_to_impact(rimless_sys, x, U0, np.zeros(1), t_cap=5.0).time
+        t_eps = poincare_map(rimless_sys, x, U0, np.zeros(1), t_cap=5.0).time
         quotients.append((t_eps - t_base) / eps)
     assert abs(quotients[1] - quotients[0]) < 0.02 * max(1.0, abs(quotients[0]))
     assert abs(quotients[2] - quotients[1]) < 0.01 * max(1.0, abs(quotients[0]))
@@ -312,7 +312,7 @@ def test_impact_time_bounds_near_orbit(rimless_sys, rimless_orbit):
     times = []
     for _ in range(200):
         z = z_star + rng.uniform(-0.05, 0.05, size=z_star.size)
-        out = time_to_impact(rimless_sys, chart.embed(z), U0, np.zeros(1), t_cap=8.0)
+        out = poincare_map(rimless_sys, chart.embed(z), U0, np.zeros(1), t_cap=8.0)
         assert out.finite
         times.append(out.time)
     t_lo, t_hi = min(times), max(times)

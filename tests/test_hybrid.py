@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
 from sie.errors import PreconditionError
-from sie.events import time_to_impact
 from sie.flow import IntegratorConfig
 from sie.hybrid import GuardConfig, simulate
+from sie.poincare import poincare_map
 from sie import models
 from tests.conftest import (RIMLESS_EIG, RIMLESS_OMEGA_STAR, RIMLESS_T_STAR,
                             RIMLESS_THETA_IMPACT, scalar_traj_eval)
@@ -149,13 +149,13 @@ def test_invalid_horizon_is_a_precondition_error(linear_sys, t_final):
         simulate(linear_sys, np.array([0.0, 0.3]), U0, V0, t_final)
 
 
-def test_replaying_impacts_through_time_to_impact(linear_sys):
+def test_replaying_impacts_through_poincare_map(linear_sys):
     u = ContinuousSignal.sinusoid([0.05], omega=4.0)
     vbar = DiscreteSequence.iid_uniform(0.02, seed=5, dim=1)
     traj = simulate(linear_sys, np.array([0.0, 0.2]), u, vbar, 4.5)
     assert len(traj.impacts) >= 4
     for a, b in zip(traj.impacts[:-1], traj.impacts[1:]):
-        out = time_to_impact(linear_sys, a.x_minus, u.shifted(a.t), vbar[a.k], t_cap=3.0)
+        out = poincare_map(linear_sys, a.x_minus, u.shifted(a.t), vbar[a.k], t_cap=3.0)
         assert out.time == pytest.approx(b.t - a.t, abs=1e-9)
 
 

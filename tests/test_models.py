@@ -5,7 +5,7 @@ import pytest
 
 from sie.core import ContinuousSignal
 from sie.errors import ParamOutOfRange, UnknownModel
-from sie.events import time_to_impact
+from sie.poincare import poincare_map
 from sie import models
 from tests.conftest import LN2, RIMLESS_EIG, RIMLESS_OMEGA_STAR
 
@@ -84,7 +84,7 @@ class TestOracles:
         u0 = ContinuousSignal.zero(1)
         theta_s = 0.08 + math.pi / 8.0
         for omega in (1.45, 1.6, 1.8):
-            out = time_to_impact(sysd, np.array([theta_s, omega]), u0, np.zeros(1), t_cap=5.0)
+            out = poincare_map(sysd, np.array([theta_s, omega]), u0, np.zeros(1), t_cap=5.0)
             assert out.state[1] == pytest.approx(pack.poincare_map(omega), abs=1e-8)
 
     def test_vdp_oracle_bands(self):
@@ -103,6 +103,6 @@ def test_vdp_mu0_map_is_identity_on_section():
     sysd = models.model("vdp-adapter", mu=0.0)
     u0 = ContinuousSignal.zero(1)
     for r in (0.8, 1.5, 2.3):
-        out = time_to_impact(sysd, np.array([r, 0.0]), u0, np.zeros(1), t_cap=10.0)
+        out = poincare_map(sysd, np.array([r, 0.0]), u0, np.zeros(1), t_cap=10.0)
         assert out.time == pytest.approx(2 * math.pi, abs=1e-8)
         assert np.allclose(out.state, [r, 0.0], atol=1e-8)

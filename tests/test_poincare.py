@@ -6,7 +6,6 @@ import pytest
 from sie.core import ContinuousSignal, HybridSystemDef
 from sie.errors import (ChartSingular, InfiniteTimeToImpact, NewtonDiverged,
                         PreconditionError, SieError)
-from sie.events import time_to_impact
 from sie.poincare import (SurfaceChart, _map_cfg, _Variational, find_fixed_point,
                           linearize, poincare_map, zero_inputs)
 from sie import models
@@ -77,13 +76,13 @@ class TestFindFixedPoint:
         ("vdp_sys", "vdp_report", 20.0)])
     def test_t_star_and_segment_come_from_the_converged_map_evaluation(
             self, sys_name, report_name, t_cap, request):
-        # the state columns of a separate variational time-to-impact query
-        # from x*, bit for bit
+        # the state columns of a separate variational map evaluation from
+        # x*, bit for bit
         sysd, rep = request.getfixturevalue(sys_name), request.getfixturevalue(report_name)
         u0, v0 = zero_inputs(sysd)
         n = sysd.n
         x0 = np.concatenate((rep.x_star, np.zeros(n * n)))
-        again = time_to_impact(_Variational.of(sysd), x0, u0, v0, _map_cfg(None), t_cap)
+        again = poincare_map(_Variational.of(sysd), x0, u0, v0, _map_cfg(None), t_cap)
         assert rep.t_star == again.time
         assert rep.segment.t0 == 0.0 and rep.segment.t1 == rep.t_star
         assert np.array_equal(rep.segment.ys, again.segment.ys[:, :n])
