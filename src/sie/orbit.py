@@ -31,7 +31,6 @@ _GROUP = 64  # consecutive chords per bounding ball
 # the coordinates: thousands of times the rounding of a chord distance
 _PRUNE_REL = 1e-12
 _NEWTON_MAX_ITERS = 100  # bisecting a whole period to the tau tolerance takes 40
-_REFINE_BELOW = 5e-2  # orbital_deviations refines the chord distance below this
 
 
 class UpperBoundViolation(SieError):
@@ -369,19 +368,14 @@ def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[floa
 
 def orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
     """dist(x, orbit) for each row of xs, the sweep's batched query: the
-    nearest-chord distance, sharpened for rows closer than _REFINE_BELOW so
-    decay fits stay clean near the numerical floor (the chord value carries
-    the polyline sag)."""
-    i_chord, dev = nearest_chords(orbit.chords, xs)
-    near = np.flatnonzero(dev < _REFINE_BELOW)
-    if near.size:
-        x = xs[near]
-        dev[near] = np.minimum.reduce([
-            refine_distance(orbit, x, i_chord[near]),
-            np.linalg.norm(x - orbit.points[0], axis=1),
-            np.linalg.norm(x - orbit.x_star, axis=1),
-        ])
-    return dev
+    least of `refine_distance` near the row's nearest chord and the
+    distances to the orbit's two ends."""
+    i_chord, _ = nearest_chords(orbit.chords, xs)
+    return np.minimum.reduce([
+        refine_distance(orbit, xs, i_chord),
+        np.linalg.norm(xs - orbit.points[0], axis=1),
+        np.linalg.norm(xs - orbit.x_star, axis=1),
+    ])
 
 
 @dataclass(frozen=True)

@@ -146,13 +146,9 @@ def _parabolic_reference(orbit, x, i_chord):
 
 
 def _reference_deviation(orbit, x, refine=_newton_reference):
-    chord = orbit.coarse_distances(x)
-    d = float(np.min(chord))
-    if d < 5e-2:
-        d = min(refine(orbit, x, int(np.argmin(chord))),
-                float(np.linalg.norm(x - orbit.points[0])),
-                float(np.linalg.norm(x - orbit.x_star)))
-    return d
+    i_chord = int(np.argmin(orbit.coarse_distances(x)))
+    return min(refine(orbit, x, i_chord), float(np.linalg.norm(x - orbit.points[0])),
+               float(np.linalg.norm(x - orbit.x_star)))
 
 
 def _reference_window_sups(orbit, traj, edges, n_samples, refine=_newton_reference):
