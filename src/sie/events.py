@@ -208,8 +208,8 @@ def first_crossing(sys: HybridSystemDef, x0: np.ndarray, u: ContinuousSignal,
     return TimeToImpact(segment=seg, event=_endpoint_event(sys, ufn, t_end, seg.ys[-1]))
 
 
-def check_reset_side(sys: HybridSystemDef, x_plus: np.ndarray) -> float:
-    """Validate which side of the surface a reset landed on; returns H(x+).
+def check_reset_side(sys: HybridSystemDef, x_plus: np.ndarray) -> None:
+    """Validate which side of the surface a reset landed on.
 
     Ordinary systems must land strictly above the surface.  Systems declaring
     surface_reset_ok may land on it (identity adapters, restitution maps) but
@@ -222,5 +222,3 @@ def check_reset_side(sys: HybridSystemDef, x_plus: np.ndarray) -> float:
             raise ResetNotInSPlus(h_plus)
     elif h_plus <= tol:
         raise ResetNotInSPlus(h_plus)
-    return h_plus
-

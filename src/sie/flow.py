@@ -101,7 +101,8 @@ class FlowSegment:
 
     def _check_span(self, t) -> None:
         lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
-        if lo < self.t0 - 1e-12 * max(1.0, abs(self.t0)) or hi > self.t1 + 1e-12 * max(1.0, abs(self.t1)):
+        if not (lo >= self.t0 - 1e-12 * max(1.0, abs(self.t0))  # negated: NaN fails too
+                and hi <= self.t1 + 1e-12 * max(1.0, abs(self.t1))):
             raise PreconditionError(f"t={t!r} outside segment [{self.t0!r}, {self.t1!r}]")
 
     def eval(self, t: float) -> np.ndarray:

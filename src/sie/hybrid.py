@@ -73,7 +73,7 @@ class HybridTrajectory:
             raise PreconditionError("trajectory holds no flow segments")
         ts = np.asarray(ts, dtype=float)
         t_end = self.t_final + 1e-12 * max(1.0, abs(self.t_final))
-        outside = (ts < self.segments[0].t0) | (ts > t_end)
+        outside = ~((ts >= self.segments[0].t0) & (ts <= t_end))  # NaN too
         if outside.any():
             raise PreconditionError(f"t={float(ts[outside][0])!r} outside trajectory span")
         starts = np.array([s.t0 for s in self.segments])

@@ -349,10 +349,6 @@ class EquivalenceVerdict:
     pair_checks: tuple[PairCheck, ...]
     floor: float
 
-    @property
-    def all_ok(self) -> bool:
-        return self.monotone_ok and self.factor_ok and self.zero_floor_ok
-
 
 def _bootstrap_median_diff(low: np.ndarray, high: np.ndarray, seed: int) -> float:
     """5th percentile of median(high*) - median(low*) over _N_BOOT paired

@@ -367,15 +367,20 @@ def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[floa
 
 
 def orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
-    """dist(x, orbit) for each row of xs, the sweep's batched query: the
-    least of `refine_distance` near the row's nearest chord and the
-    distances to the orbit's two ends."""
+    """dist(x, orbit) for each row of xs, the sweep's batched query: as in
+    `dist_to_orbit`, the least of the distances to the orbit's two ends and
+    of `refine_distance` near the row's nearest chord, and near the other
+    end too for a row at an end chord, since an identity reset closes the
+    orbit there."""
     i_chord, _ = nearest_chords(orbit.chords, xs)
-    return np.minimum.reduce([
-        refine_distance(orbit, xs, i_chord),
-        np.linalg.norm(xs - orbit.points[0], axis=1),
-        np.linalg.norm(xs - orbit.x_star, axis=1),
-    ])
+    last = len(orbit.taus) - 2  # index of the last chord
+    ends = np.flatnonzero((i_chord == 0) | (i_chord == last))
+    d = refine_distance(orbit, np.concatenate([xs, xs[ends]]),
+                        np.concatenate([i_chord, last - i_chord[ends]]))
+    dev = d[:len(xs)]
+    dev[ends] = np.minimum(dev[ends], d[len(xs):])
+    return np.minimum.reduce([dev, np.linalg.norm(xs - orbit.points[0], axis=1),
+                              np.linalg.norm(xs - orbit.points[-1], axis=1)])
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,8 @@ PROBES = {
     "radii-empty": ("certify-prop1", _set("certify-prop1", ("certify_prop1", "radii"), [])),
     "validate-list": ("validate", _set("validate", ("validate",), [])),
     "validate-probes-empty": ("validate", _set("validate", ("validate", "probes"), [])),
+    "validate-probe-dimension": ("validate", _set("validate", ("validate", "probes"),
+                                                  [[1.0, 2.0, 3.0]])),
 }
 
 

@@ -111,6 +111,11 @@ class TestDiscreteSequence:
         assert e[10][0] == 3.0  # held at the last entry
         assert e.sup_norm() == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("bound", [-0.1, math.nan, [0.1, math.nan]])
+    def test_negative_or_nan_bound_rejected(self, bound):
+        with pytest.raises(PreconditionError):
+            DiscreteSequence.iid_uniform(bound, seed=1)
+
     def test_scaled(self):
         seq = DiscreteSequence.iid_uniform(1.0, seed=3).scaled(0.25)
         assert seq.sup_norm() == pytest.approx(0.25)
@@ -164,14 +169,14 @@ class TestValidateSystem:
     def test_linear_reset_probes_pass(self, linear_sys):
         probes = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.5, 2.0])]
         rep = validate_system(linear_sys, probes)
-        assert rep.all_finite
+        assert all(p.f_finite and p.delta_finite and p.h_finite for p in rep.probes)
         assert rep.max_grad_mismatch < 1e-6
         assert not rep.degenerate_gradient_flagged
 
     def test_rimless_probes_pass(self, rimless_sys):
         theta_s = 0.08 + math.pi / 8.0
         rep = validate_system(rimless_sys, [np.array([theta_s, 1.5]), np.array([theta_s, 1.0])])
-        assert rep.all_finite
+        assert all(p.f_finite and p.delta_finite and p.h_finite for p in rep.probes)
         assert rep.max_grad_mismatch < 1e-6
         assert all(p.on_surface for p in rep.probes)
         assert not rep.degenerate_gradient_flagged
@@ -204,6 +209,14 @@ class TestValidateSystem:
     def test_empty_probes_rejected(self, linear_sys):
         with pytest.raises(PreconditionError):
             validate_system(linear_sys, [])
+
+    @pytest.mark.parametrize("name", sorted(models.catalog()))
+    def test_probe_of_wrong_dimension_rejected(self, name):
+        # the affine-surface check would otherwise fail in a raw matmul
+        sys = models.model(name)
+        for probe in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
+            with pytest.raises(PreconditionError, match="shape"):
+                validate_system(sys, [np.zeros(sys.n), probe])
 
     def test_grad_fd_agreement_invariant(self):
         # every catalog model with an analytic gradient matches central

@@ -184,6 +184,16 @@ def test_jet_value_is_eval(rimless_segment):
         seg.jet(seg.t1 + 1e-3)
 
 
+def test_nan_time_is_a_precondition_error(rimless_segment):
+    # every span comparison is False for NaN, so the check is negated
+    seg = rimless_segment
+    for t in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(PreconditionError):
+            seg.eval(t)
+        with pytest.raises(PreconditionError):
+            seg.jet(t)
+
+
 def test_jet_slope_at_step_nodes_is_the_vector_field(rimless_sys, rimless_segment):
     # the quartic's first coefficient is the FSAL stage k1 = f(y_left)
     seg = rimless_segment

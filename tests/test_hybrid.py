@@ -226,6 +226,12 @@ class TestTrajectoryEvalMany:
             with pytest.raises(PreconditionError):
                 traj.eval(bad)
 
+    def test_nan_time_raises(self, forced_rimless_traj):
+        with pytest.raises(PreconditionError):
+            forced_rimless_traj.eval_many(np.array([0.5, math.nan]))
+        with pytest.raises(PreconditionError):
+            forced_rimless_traj.eval(math.nan)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
     def test_property_random_times(self, forced_rimless_traj, fractions):

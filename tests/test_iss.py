@@ -148,7 +148,7 @@ def _parabolic_reference(orbit, x, i_chord):
 def _reference_deviation(orbit, x, refine=_newton_reference):
     i_chord = int(np.argmin(orbit.coarse_distances(x)))
     return min(refine(orbit, x, i_chord), float(np.linalg.norm(x - orbit.points[0])),
-               float(np.linalg.norm(x - orbit.x_star)))
+               float(np.linalg.norm(x - orbit.points[-1])))
 
 
 def _reference_window_sups(orbit, traj, edges, n_samples, refine=_newton_reference):
@@ -257,7 +257,7 @@ class TestCheckEquivalence:
             (0.1, 0.1 + 0.01 * rng.standard_normal(20)),
         ])
         verdict = check_equivalence(report)
-        assert verdict.all_ok
+        assert verdict.monotone_ok and verdict.factor_ok and verdict.zero_floor_ok
         assert verdict.factor == pytest.approx(1.0)
 
     def test_negative_control_fails_monotonicity(self):
@@ -269,7 +269,7 @@ class TestCheckEquivalence:
         ])
         verdict = check_equivalence(report)
         assert not verdict.monotone_ok
-        assert not verdict.all_ok
+        assert not (verdict.monotone_ok and verdict.factor_ok and verdict.zero_floor_ok)
 
     def test_zero_floor_violation_detected(self):
         report = _synthetic_report([(0.0, np.full(20, 1e-3))])

@@ -185,6 +185,24 @@ class TestDistToOrbit:
             full, _ = dist_to_orbit(rimless_orbit, x)
             assert d == pytest.approx(full, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(model_name=st.sampled_from(["rimless", "vdp"]),
+           points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-9.0, 0.0),
+                                     st.floats(0.0, 2.0 * math.pi)),
+                           min_size=1, max_size=8))
+    def test_orbital_deviations_match_dist_to_orbit(self, rimless_orbit, vdp_orbit,
+                                                    model_name, points):
+        # every row of the sweep's batched query is the scalar query's
+        # distance, to 1e-12 relative or one rounding unit of the orbit's
+        # coordinates, below which no distance is resolved
+        orb = rimless_orbit if model_name == "rimless" else vdp_orbit
+        xs = np.array([orb.eval(tau_frac * orb.t_star)
+                       + 10.0 ** log_off * np.array([math.cos(angle), math.sin(angle)])
+                       for tau_frac, log_off, angle in points])
+        want = [dist_to_orbit(orb, x)[0] for x in xs]
+        ulp = np.finfo(float).eps * float(np.max(np.abs(orb.points)))
+        assert np.allclose(orbital_deviations(orb, xs), want, rtol=1e-12, atol=ulp)
+
     def test_repeated_sample_counts_as_its_endpoint(self, linear_orbit):
         # a repeated orbit sample makes a zero-length chord, which must read
         # as its endpoint, not as 0/0
@@ -197,7 +215,7 @@ class TestDistToOrbit:
         d, taus = dist_to_orbit(orb, x)
         assert d == pytest.approx(0.2, abs=1e-9)
         assert taus[0] == pytest.approx(0.5, abs=1e-6)
-        # the sweep's batched query: far (chord only) and near (refined) rows
+        # the sweep's batched query, on a far and a near row
         x_near = orb.points[k] + np.array([0.0, 1e-3])
         assert orbital_deviations(orb, np.array([x, x_near])) == pytest.approx([0.2, 1e-3],
                                                                               abs=1e-9)
