@@ -149,7 +149,7 @@ def test_invalid_horizon_is_a_precondition_error(linear_sys, t_final):
         simulate(linear_sys, np.array([0.0, 0.3]), U0, V0, t_final)
 
 
-def test_replaying_impacts_through_poincare_map(linear_sys):
+def test_replaying_impacts_through_time_to_impact(linear_sys):
     u = ContinuousSignal.sinusoid([0.05], omega=4.0)
     vbar = DiscreteSequence.iid_uniform(0.02, seed=5, dim=1)
     traj = simulate(linear_sys, np.array([0.0, 0.2]), u, vbar, 4.5)
