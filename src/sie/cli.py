@@ -404,10 +404,8 @@ def _cmd_validate(cfg: dict, out: Path) -> int:
         probes = [rng.normal(size=sysdef.n) for _ in range(8)]
     report = validate_system(sysdef, probes)
     _write_json(out / "validation.json", {
-        **asdict(report), "max_grad_mismatch": report.max_grad_mismatch,
-        "degenerate_gradient_flagged": report.degenerate_gradient_flagged})
-    print(f"probes={len(report.probes)} max_grad_mismatch={_fmt(report.max_grad_mismatch)} "
-          f"degenerate={report.degenerate_gradient_flagged}")
+        **asdict(report), "degenerate_gradient_flagged": report.degenerate_gradient_flagged})
+    print(f"probes={len(report.probes)} degenerate={report.degenerate_gradient_flagged}")
     return _EXIT_OK
 
 

@@ -25,8 +25,8 @@ _AFFINE_MATCH_REL = 1e-13
 # central-difference step of the stand-in derivatives (grad H, Df, D delta):
 # the O(step^2) error sits near 1e-12 times the local curvature
 _FD_REL_STEP = 1e-6
-# a declared jac_f or jac_delta must match central differences to this,
-# relative to the size of the map and its derivative: far above the
+# a declared grad_h, jac_f or jac_delta must match central differences to
+# this, relative to the size of the map and its derivative: far above the
 # stand-in's rounding (about 1e-10), far below any wrong entry
 _JAC_MATCH_REL = 1e-6
 
@@ -78,7 +78,8 @@ class HybridSystemDef:
 
     surface = (g, c) declares H affine, H(x) = c + g . x, which lets the
     event scan clear a whole step at once; `validate_system` checks it
-    against h, and checks jac_f and jac_delta against central differences.
+    against h, and checks grad_h, jac_f and jac_delta against central
+    differences.
     """
 
     n: int
@@ -146,6 +147,8 @@ def _checked(fn, which: str, shape: tuple[int, ...], x: np.ndarray, *args) -> np
     else EvaluatorFailure labelled `which`."""
     try:
         out = np.asarray(fn(x, *args), dtype=float)
+    except EvaluatorFailure:
+        raise  # a checked evaluator inside fn already named itself
     except Exception as exc:  # noqa: BLE001 - converted to structured failure
         raise EvaluatorFailure(which, x, str(exc)) from exc
     if out.shape != shape or not np.isfinite(out).all():
@@ -357,10 +360,6 @@ class DiscreteSequence:
 @dataclass(frozen=True)
 class ProbeResult:
     index: int
-    f_finite: bool
-    delta_finite: bool
-    h_finite: bool
-    grad_mismatch: float
     on_surface: bool
     degenerate_gradient: bool
 
@@ -370,10 +369,6 @@ class ValidationReport:
     probes: tuple[ProbeResult, ...] = field(default=())
 
     @property
-    def max_grad_mismatch(self) -> float:
-        return max((p.grad_mismatch for p in self.probes), default=0.0)
-
-    @property
     def degenerate_gradient_flagged(self) -> bool:
         return any(p.degenerate_gradient for p in self.probes)
 
@@ -381,15 +376,14 @@ class ValidationReport:
 def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) -> ValidationReport:
     """Spot-check a system definition at the given probe states.
 
-    Per probe: evaluators return finite values, the analytic gradient (when
-    provided) matches central differences to 1e-5 relative, and gradients that
-    vanish on the surface (below 1e-12, breaking the codimension-1 structure)
-    are flagged.  Evaluator exceptions propagate as EvaluatorFailure with the
-    probe index attached.  A declared affine surface that misses h by more
-    than _AFFINE_MATCH_REL of its terms' size, and a declared jac_f or
-    jac_delta (at zero input) that misses central differences by more than
-    _JAC_MATCH_REL of the size of the map and its derivative, raise
-    PreconditionError.
+    Per probe, with zero inputs: f, delta and h are evaluated, checked, and
+    gradients that vanish on the surface (below 1e-12, breaking the
+    codimension-1 structure) are flagged.  Evaluator failures propagate as
+    EvaluatorFailure with the probe index attached.  A declared affine
+    surface that misses h by more than _AFFINE_MATCH_REL of its terms' size,
+    and a declared grad_h, jac_f or jac_delta that misses central
+    differences of the bare model by more than _JAC_MATCH_REL of the size of
+    the map and its derivative, raise PreconditionError.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_states]
     if not probes:
@@ -404,44 +398,30 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
     results = []
     for idx, x in enumerate(probes):
         try:
-            fv = sys.eval_f(x, u0)
-            dv = sys.eval_delta(x, v0)
             hv = sys.eval_h(x)
+            # (declaration, the map's value, the derivative's accessor, inputs after x)
+            derivatives = (("grad_h", hv, "surface_gradient", ()),
+                           ("jac_f", sys.eval_f(x, u0), "flow_jacobian", (u0,)),
+                           ("jac_delta", sys.eval_delta(x, v0), "reset_jacobian", (v0,)))
+            if sys.surface is not None:
+                g, c = sys.surface
+                affine = c + g @ x
+                if abs(affine - hv) > _AFFINE_MATCH_REL * (1.0 + abs(c) + np.abs(g) @ np.abs(x)):
+                    raise PreconditionError(
+                        f"probe {idx}: declared surface gives H={affine!r}, h gives {hv!r}")
+            for which, value, accessor, args in derivatives:
+                if getattr(sys, which) is None:
+                    continue
+                fd = getattr(bare, accessor)(x, *args)
+                miss = euclidean(getattr(sys, accessor)(x, *args) - fd)
+                if not miss <= _JAC_MATCH_REL * max(1.0, euclidean(fd), euclidean(value)):
+                    raise PreconditionError(
+                        f"probe {idx}: declared {which} misses central differences by {miss:.3g}")
             grad = sys.surface_gradient(x)
-            # (name, declared, central differences, size of the map)
-            declared = []
-            if sys.jac_f is not None:
-                declared.append(("jac_f", sys.flow_jacobian(x, u0), bare.flow_jacobian(x, u0), fv))
-            if sys.jac_delta is not None:
-                declared.append(("jac_delta", sys.reset_jacobian(x, v0),
-                                 bare.reset_jacobian(x, v0), dv))
         except EvaluatorFailure as exc:
             exc.detail = f"probe {idx}: {exc.detail}"
             raise
-        if sys.surface is not None:
-            g, c = sys.surface
-            affine = c + g @ x
-            if abs(affine - hv) > _AFFINE_MATCH_REL * (1.0 + abs(c) + np.abs(g) @ np.abs(x)):
-                raise PreconditionError(
-                    f"probe {idx}: declared surface gives H={affine!r}, h gives {hv!r}")
-        for which, jac, fd, value in declared:
-            miss = euclidean(jac - fd)
-            if not miss <= _JAC_MATCH_REL * max(1.0, euclidean(fd), euclidean(value)):
-                raise PreconditionError(
-                    f"probe {idx}: declared {which} misses central differences by {miss:.3g}")
-        mismatch = 0.0
-        if sys.grad_h is not None:
-            fd = bare.surface_gradient(x)
-            mismatch = euclidean(grad - fd) / max(1.0, euclidean(fd))
         on_surface = abs(hv) <= surface_tol(x)
-        degenerate = on_surface and euclidean(grad) < 1e-12
-        results.append(ProbeResult(
-            index=idx,
-            f_finite=bool(np.all(np.isfinite(fv))),
-            delta_finite=bool(np.all(np.isfinite(dv))),
-            h_finite=math.isfinite(hv),
-            grad_mismatch=mismatch,
-            on_surface=on_surface,
-            degenerate_gradient=degenerate,
-        ))
+        results.append(ProbeResult(index=idx, on_surface=on_surface,
+                                   degenerate_gradient=on_surface and euclidean(grad) < 1e-12))
     return ValidationReport(probes=tuple(results))

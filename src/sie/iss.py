@@ -39,7 +39,7 @@ class SweepConfig:
     transient_cutoff: float = 0.5
     seed: int = 0
     u_template: ContinuousSignal | None = None  # unit-amplitude shape; default sinusoid omega=4
-    samples_per_step: int = 24
+    samples_per_step: int = 24  # samples per inter-impact window, not per integrator step
     pair_uv: bool = False  # zip u_amps with v_amps instead of crossing them
 
     def __post_init__(self):

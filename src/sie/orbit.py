@@ -339,9 +339,14 @@ def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[floa
     The coarse polyline minimum brackets the candidates; each bracket is
     refined by safeguarded Newton on the dense interpolant.  The endpoint tau = T* (the fixed
     point itself) is always a candidate, so closure points are included.
-    Total: never raises.
+    Raises PreconditionError unless x is a finite point of shape (n,).
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"query point is not numeric: {exc}") from exc
+    if x.shape != orbit.x_star.shape or not np.isfinite(x).all():
+        raise PreconditionError(f"query point must be finite of shape {orbit.x_star.shape}")
     chord = orbit.coarse_distances(x)
     d_min = float(chord.min())
     # every chord whose distance could hide the true minimum gets refined,

@@ -157,14 +157,15 @@ class _Variational(HybridSystemDef):
     flow and Psi <- D Delta(x, v) at the reset.  H, its gradient and its
     affine form read x only, so crossings are those of the base system,
     while the step control covers Psi as well.  The raw f feeds the
-    stepper's stages; the checked eval_f and eval_delta name the base
-    evaluator that failed."""
+    stepper's stages and the checked eval_f names the base evaluator that
+    failed; the reset is built on the base's checked eval_delta and
+    reset_jacobian, whose failures pass through unchanged."""
 
     base: HybridSystemDef | None = field(default=None, compare=False)
 
     @staticmethod
     def of(sys: HybridSystemDef) -> "_Variational":
-        n, f, delta, h = sys.n, sys.f, sys.delta, sys.h
+        n, f, h = sys.n, sys.f, sys.h
         jac = sys.jac_f or sys.flow_jacobian
         pad = np.zeros(n * n)
 
@@ -174,7 +175,7 @@ class _Variational(HybridSystemDef):
 
         def delta_var(X, v):
             x = X[:n]
-            return np.concatenate((delta(x, v), sys.reset_jacobian(x, v).ravel()))
+            return np.concatenate((sys.eval_delta(x, v), sys.reset_jacobian(x, v).ravel()))
 
         surface = None
         if sys.surface is not None:
@@ -190,10 +191,6 @@ class _Variational(HybridSystemDef):
         x = X[:n]
         return np.concatenate((base.eval_f(x, u_value),
                                (base.flow_jacobian(x, u_value) @ X[n:].reshape(n, n)).ravel()))
-
-    def eval_delta(self, X: np.ndarray, v_value: np.ndarray) -> np.ndarray:
-        base, x = self.base, X[:self.base.n]
-        return np.concatenate((base.eval_delta(x, v_value), base.reset_jacobian(x, v_value).ravel()))
 
 
 def _variational_map(var: _Variational, chart: SurfaceChart, z: np.ndarray,

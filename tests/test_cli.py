@@ -330,8 +330,15 @@ class TestValidateCommand:
         out = tmp_path / "out"
         assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "validation.json").read_text())
-        assert report["max_grad_mismatch"] < 1e-6
         assert not report["degenerate_gradient_flagged"]
+
+    def test_validate_prints_probe_count_and_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {"name": "linear-reset", "params": {}},
+            "validate": {"probes": [[0.0, 0.0], [1.0, 0.0]]},
+        })
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.strip() == "probes=2 degenerate=False"
 
 
 def test_formatting_is_17_significant_digits(tmp_path):

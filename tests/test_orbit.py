@@ -148,6 +148,13 @@ class TestDistToOrbit:
         assert d <= 1e-10
         assert any(abs(t - linear_orbit.t_star) < 1e-9 for t in taus)
 
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.2, 0.0], [[0.5, 0.2]], [0.5, math.nan],
+                                   [math.inf, 0.2], ["a", "b"]],
+                             ids=["shape-1", "shape-3", "shape-1x2", "nan", "inf", "text"])
+    def test_malformed_point_is_refused(self, linear_orbit, x):
+        with pytest.raises(PreconditionError, match="query point"):
+            dist_to_orbit(linear_orbit, x)
+
     def test_one_lipschitz(self, rimless_orbit):
         rng = np.random.default_rng(4)
         center = rimless_orbit.x_star

@@ -9,8 +9,8 @@ against values computed without it:
 - the same model with its derivative declarations left out, where central
   differences stand in for Df and D Delta.
 
-Also the rules around it: the declarations are checked, a failing jac_f is
-named, the verdict is never finer than the disagreement of the two
+Also the rules around it: every declared derivative (grad_h, jac_f,
+jac_delta) is checked by one rule, a failing jac_f or jac_delta is named, the verdict is never finer than the disagreement of the two
 Jacobians, and a Newton trial that never returns halves the step.
 """
 
@@ -144,14 +144,56 @@ def test_three_state_eigenvalues_invariant_under_chart_choice():
 PROBES = [np.array([0.3, -1.2]), np.array([1.1, 0.4])]
 
 
-@pytest.mark.parametrize("which", ["jac_f", "jac_delta"])
+DECLARATIONS = ["grad_h", "jac_f", "jac_delta"]
+
+
+def _perturbed(sysd: HybridSystemDef, which: str, entry: int, rel: float) -> HybridSystemDef:
+    """sysd with rel * max(1, |e|) added to the entry e (flat index) of the
+    declared derivative `which`, wherever it is read."""
+    right = getattr(sysd, which)
+
+    def wrong(x, *w):
+        out = np.array(right(x, *w), dtype=float)
+        out.flat[entry] += rel * max(1.0, abs(out.flat[entry]))
+        return out
+
+    return replace(sysd, **{which: wrong})
+
+
+@pytest.mark.parametrize("which", DECLARATIONS)
 def test_validate_rejects_a_wrong_declaration(which):
     sysd = models.model("rimless-wheel")
-    right = getattr(sysd, which)
-    wrong = replace(sysd, **{which: lambda x, w: right(x, w) + np.array([[0.0, 0.0], [1e-3, 0.0]])})
+    wrong = _perturbed(sysd, which, 1 if which == "grad_h" else 2, 1e-3)
     validate_system(sysd, PROBES)
     with pytest.raises(PreconditionError, match=f"probe 0: declared {which}"):
         validate_system(wrong, PROBES)
+
+
+def test_sign_flipped_grad_h_is_refused():
+    # a sign-flipped gradient hides the crossings from the event scan:
+    # simulate from (0, 0.3) on [0, 5] would log none of the five impacts
+    sysd = models.model("linear-reset")
+    right = sysd.grad_h
+    wrong = replace(sysd, grad_h=lambda x: -right(x))
+    with pytest.raises(PreconditionError,
+                       match="probe 0: declared grad_h misses central differences by 2"):
+        validate_system(wrong, [np.array([0.0, 0.3])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(models.catalog())), which=st.sampled_from(DECLARATIONS),
+       entry=st.integers(0, 3),
+       probes=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                       min_size=1, max_size=4))
+def test_one_rule_for_every_declared_derivative(name, which, entry, probes):
+    # a miss of 1e-4 relative in any one entry of any declared derivative is
+    # refused under that derivative's name; the catalog model itself passes
+    sysd = models.model(name)
+    probes = [np.array(p) for p in probes]
+    validate_system(sysd, probes)
+    entry %= sysd.n if which == "grad_h" else sysd.n * sysd.n
+    with pytest.raises(PreconditionError, match=f"probe 0: declared {which} misses"):
+        validate_system(_perturbed(sysd, which, entry, 1e-4), probes)
 
 
 def test_catalog_declarations_pass_validation():
@@ -188,6 +230,19 @@ def test_raising_jac_f_is_a_named_evaluator_failure():
     with pytest.raises(EvaluatorFailure) as caught:
         validate_system(sysd, PROBES)
     assert caught.value.which == "jac_f"
+
+
+def test_raising_jac_delta_is_a_named_evaluator_failure():
+    # the variational reset calls the checked reset_jacobian inside the
+    # checked reset, which passes the jac_delta failure through unchanged
+    def broken(x, v):
+        raise ValueError("no derivative here")
+
+    sysd = replace(models.model("linear-reset"), jac_delta=broken)
+    with pytest.raises(EvaluatorFailure) as caught:
+        find_fixed_point(sysd, np.array([1.0, 0.4]), t_cap=10.0)
+    assert caught.value.which == "jac_delta"
+    assert "no derivative here" in caught.value.detail
 
 
 def test_non_finite_jac_delta_is_a_named_evaluator_failure():
