@@ -10,8 +10,9 @@ against values computed without it:
   differences stand in for Df and D Delta.
 
 Also the rules around it: every declared derivative (grad_h, jac_f,
-jac_delta) is checked by one rule, a failing jac_f or jac_delta is named, the verdict is never finer than the disagreement of the two
-Jacobians, and a Newton trial that never returns halves the step.
+jac_delta) is checked by one rule, a failing jac_f or jac_delta is named,
+the verdict is never finer than the disagreement of the two Jacobians, and
+a Newton trial that never returns halves the step.
 """
 
 import math
