@@ -14,7 +14,9 @@ class SieError(Exception):
 
 class EvaluatorFailure(SieError):
     """A user-supplied evaluator (f, delta, h or grad_h) raised or returned
-    a non-finite value."""
+    a non-finite value, or, for grad_h, gave a flow derivative of H that is
+    not negative across a sign change of H from well above the event
+    tolerance to well below it."""
 
     def __init__(self, which: str, argument, detail: str = ""):
         self.which = which

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContinuousSignal, HybridSystemDef, surface_tol
-from .errors import GrazeDetected, ResetNotInSPlus
+from .errors import EvaluatorFailure, GrazeDetected, ResetNotInSPlus
 from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment, _quartic
 
 _SAMPLES_PER_STEP = 12
@@ -139,7 +139,12 @@ def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, fl
             if abs(lfh) < graze_tol:
                 raise GrazeDetected(t_hit, lfh)
             if lfh >= 0.0:
-                # interpolant wiggle produced a spurious bracket
+                # a bracket at the rounding level of H is an interpolant
+                # wiggle; one well clear of it contradicts the flow derivative
+                if min(hs[i], -hs[i + 1]) > event_tol(x):
+                    raise EvaluatorFailure(
+                        "grad_h", x, f"the flow derivative of H, {lfh:.3g}, is not negative "
+                        f"where H falls from {hs[i]:.3g} to {hs[i + 1]:.3g}")
                 continue
             return t_hit, x, lfh, width
     return None

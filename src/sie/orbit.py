@@ -61,10 +61,6 @@ class PeriodicOrbit:
     def chords(self) -> Chords:
         return Chords.of(self.points)
 
-    def coarse_distances(self, x: np.ndarray) -> np.ndarray:
-        """Distance from x to every chord of the sample polyline."""
-        return np.sqrt(_chord_sq_distances(self.chords, np.asarray(x, dtype=float)[None, :])[0])
-
 
 @dataclass(frozen=True)
 class Chords:
@@ -334,34 +330,25 @@ def refine_distance(orbit: PeriodicOrbit, xs: np.ndarray, i_chords: np.ndarray) 
 
 def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[float]]:
     """Distance from x to the orbit closure and the set of parameter values
-    realizing it.
-
-    The coarse polyline minimum brackets the candidates; each bracket is
-    refined by safeguarded Newton on the dense interpolant.  The endpoint tau = T* (the fixed
-    point itself) is always a candidate, so closure points are included.
-    Raises PreconditionError unless x is a finite point of shape (n,).
-    """
+    realizing it: the least of the distances to the orbit's ends, tau = 0
+    and tau = T* (the fixed point), and of the safeguarded Newton on the
+    nearest chord i's bracket [taus[i - 1], taus[i + 2]], and on the other
+    end chord's too when i is an end chord, where an identity reset closes
+    the orbit.  Raises PreconditionError unless x is a finite point of
+    shape (n,)."""
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"query point is not numeric: {exc}") from exc
     if x.shape != orbit.x_star.shape or not np.isfinite(x).all():
         raise PreconditionError(f"query point must be finite of shape {orbit.x_star.shape}")
-    chord = orbit.coarse_distances(x)
-    d_min = float(chord.min())
-    # every chord whose distance could hide the true minimum gets refined,
-    # with contiguous candidate chords merged into one bracket
-    cand = np.flatnonzero(chord <= d_min + orbit.ds_max)
-    runs: list[tuple[int, int]] = []
-    for i in cand.tolist():
-        if runs and i == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], i)
-        else:
-            runs.append((i, i))
-    best = [_newton_refine(orbit, x, max(i0 - 1, 0), min(i1 + 2, len(orbit.taus) - 1))
-            for i0, i1 in runs]
-    best.append((0.0, float(np.linalg.norm(x - orbit.points[0]))))
-    best.append((orbit.t_star, float(np.linalg.norm(x - orbit.points[-1]))))
+    # the full chord pass: for one row it costs less than nearest_chords' groups
+    i = int(np.argmin(_chord_sq_distances(orbit.chords, x[None, :])[0]))
+    last = len(orbit.taus) - 2  # index of the last chord
+    best = [_newton_refine(orbit, x, max(j - 1, 0), min(j + 2, last + 1))
+            for j in ([i, last - i] if i in (0, last) else [i])]
+    ends = x - orbit.points[[0, -1]]
+    best += zip((0.0, orbit.t_star), np.sqrt((ends * ends).sum(axis=-1)).tolist())
     d = min(b[1] for b in best)
     near = sorted(t for t, dv in best if dv <= d + _TAU_SET_TOL)
     tau_set: list[float] = []
@@ -372,20 +359,17 @@ def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[floa
 
 
 def orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
-    """dist(x, orbit) for each row of xs, the sweep's batched query: as in
-    `dist_to_orbit`, the least of the distances to the orbit's two ends and
-    of `refine_distance` near the row's nearest chord, and near the other
-    end too for a row at an end chord, since an identity reset closes the
-    orbit there."""
+    """`dist_to_orbit`'s distance for each row of xs, bit for bit: the same
+    candidates, through the batched chord pass and Newton."""
     i_chord, _ = nearest_chords(orbit.chords, xs)
     last = len(orbit.taus) - 2  # index of the last chord
-    ends = np.flatnonzero((i_chord == 0) | (i_chord == last))
-    d = refine_distance(orbit, np.concatenate([xs, xs[ends]]),
-                        np.concatenate([i_chord, last - i_chord[ends]]))
+    at_end = np.flatnonzero((i_chord == 0) | (i_chord == last))
+    d = refine_distance(orbit, np.concatenate([xs, xs[at_end]]),
+                        np.concatenate([i_chord, last - i_chord[at_end]]))
     dev = d[:len(xs)]
-    dev[ends] = np.minimum(dev[ends], d[len(xs):])
-    return np.minimum.reduce([dev, np.linalg.norm(xs - orbit.points[0], axis=1),
-                              np.linalg.norm(xs - orbit.points[-1], axis=1)])
+    dev[at_end] = np.minimum(dev[at_end], d[len(xs):])
+    ends = xs[:, None, :] - orbit.points[[0, -1]]  # dist_to_orbit's expression, per row
+    return np.minimum(dev, np.sqrt((ends * ends).sum(axis=-1)).min(axis=1))
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,7 @@ def test_criterion_8_numerical_hygiene(linear_sys, rimless_sys, linear_report,
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     for fname in ("trajectory.csv", "impacts.csv"):
         assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
-    ok("8", "semigroup<=50tol on 100 cases; FD step-halving consistent; "
+    ok("8", "semigroup<=50tol on 100 cases; central-difference J matches J_var; "
             "chart round-trip<=1e-10; CSVs byte-identical")
 
 

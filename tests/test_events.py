@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
-from sie.errors import GrazeDetected, InfiniteTimeToImpact, PreconditionError, ResetNotInSPlus
+from sie.errors import (EvaluatorFailure, GrazeDetected, InfiniteTimeToImpact, PreconditionError,
+                        ResetNotInSPlus)
 from sie.events import (_SAMPLES_PER_STEP, _refine_in_record, _scan_record, _scan_times,
                         first_crossing)
 from sie.flow import IntegratorConfig, Stepper, _quartic, integrate
@@ -75,6 +76,21 @@ class TestLocateCrossing:
         with pytest.raises(GrazeDetected):
             first_crossing(sys, np.array([0.0, -2e-12]), U0, 0.0, 2.0,
                            IntegratorConfig(max_step=0.005))
+
+    def test_sign_flipped_grad_h_is_refused(self, linear_sys):
+        # H = 1 - x1 falls through zero at t = 1, but the declared gradient
+        # (1, 0) gives a positive flow derivative there: the bracket runs
+        # from H = +4e-4 to -8e-3, far outside the event tolerance, so the
+        # crossing is refused rather than dropped as an interpolant wiggle
+        bad = replace(linear_sys, grad_h=lambda x: np.array([1.0, 0.0]))
+        x0 = np.array([0.0, 0.3])
+        with pytest.raises(EvaluatorFailure) as got:
+            first_crossing(bad, x0, U0, 0.0, 5.0, CFG)
+        assert got.value.which == "grad_h"
+        traj = simulate(bad, x0, U0, DiscreteSequence.zero(1), 5.0)
+        assert traj.termination == "error"
+        assert traj.error == str(got.value)
+        assert not traj.impacts
 
     def test_single_crossing_h_positive_before_hit(self, rimless_sys):
         x0 = np.array([0.08 - math.pi / 8.0, RIMLESS_OMEGA_PLUS])

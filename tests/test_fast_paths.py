@@ -121,14 +121,17 @@ def _affine_pair(g: np.ndarray, c: float, drift: np.ndarray):
 
 
 def _scan_outcome(sysd, record, from_t):
+    # a graze and a refused flow derivative are outcomes too
     try:
         return _scan_record(sysd, U0.compile(), record, from_t)
     except GrazeDetected as exc:
         return ("graze", exc.args)
+    except EvaluatorFailure as exc:
+        return ("refused", exc.which, tuple(exc.argument), exc.detail)
 
 
 def _same(a, b) -> bool:
-    if a is None or b is None or a[0] == "graze" or b[0] == "graze":
+    if a is None or b is None or isinstance(a[0], str) or isinstance(b[0], str):
         return a == b
     return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2:] == b[2:]
 

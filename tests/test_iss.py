@@ -9,7 +9,7 @@ from sie.hybrid import GuardConfig, simulate
 from sie.iss import (CellResult, IssSweepReport, SweepConfig, TrialSeries,
                      _initial_state, _orbital_deviation, _window_sups,
                      check_equivalence, fit_decay, fit_gain, run_sweep)
-from sie.orbit import _newton_refine
+from sie.orbit import _chord_sq_distances, _newton_refine
 from tests.conftest import LN2, RIMLESS_EIG, scalar_traj_eval
 
 
@@ -146,7 +146,7 @@ def _parabolic_reference(orbit, x, i_chord):
 
 
 def _reference_deviation(orbit, x, refine=_newton_reference):
-    i_chord = int(np.argmin(orbit.coarse_distances(x)))
+    i_chord = int(np.argmin(_chord_sq_distances(orbit.chords, x[None, :])))
     return min(refine(orbit, x, i_chord), float(np.linalg.norm(x - orbit.points[0])),
                float(np.linalg.norm(x - orbit.points[-1])))
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from sie.errors import ClosureError, PreconditionError
 from sie.flow import IntegratorConfig, Stepper, integrate
 import sie.orbit as orbit_mod
-from sie.orbit import (_TAU_TOL_REL, Prop1Report, UpperBoundViolation, _newton_refine,
-                       _newton_refine_many, build_orbit, certify_prop1, dist_to_orbit,
-                       nearest_chords, orbital_deviations, refine_distance)
+from sie.orbit import (_TAU_TOL_REL, Prop1Report, UpperBoundViolation, _chord_sq_distances,
+                       _newton_refine, _newton_refine_many, build_orbit, certify_prop1,
+                       dist_to_orbit, nearest_chords, orbital_deviations, refine_distance)
 from sie.poincare import (SurfaceChart, _state_columns, _Variational, find_fixed_point,
                           zero_inputs)
 from tests.conftest import RIMLESS_OMEGA_PLUS
@@ -172,7 +172,7 @@ class TestDistToOrbit:
         sag = rimless_orbit.ds_max ** 2  # generous bound on chord deviation
         for _ in range(80):
             x = rimless_orbit.x_star + rng.uniform(-1.0, 1.0, size=2)
-            coarse = float(np.min(rimless_orbit.coarse_distances(x)))
+            coarse = math.sqrt(np.min(_chord_sq_distances(rimless_orbit.chords, x[None, :])))
             refined, _ = dist_to_orbit(rimless_orbit, x)
             assert refined <= coarse + sag
             assert refined >= coarse - sag
@@ -186,29 +186,32 @@ class TestDistToOrbit:
             off = 10.0 ** rng.uniform(-9.0, -2.0)
             xs.append(rimless_orbit.eval(tau) + off * rng.normal(size=2))
         xs = np.array(xs)
-        chords = [int(np.argmin(rimless_orbit.coarse_distances(x))) for x in xs]
-        fast = refine_distance(rimless_orbit, xs, np.array(chords))
+        chords = np.argmin(_chord_sq_distances(rimless_orbit.chords, xs), axis=1)
+        fast = refine_distance(rimless_orbit, xs, chords)
         for x, d in zip(xs, fast):
             full, _ = dist_to_orbit(rimless_orbit, x)
             assert d == pytest.approx(full, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(model_name=st.sampled_from(["rimless", "vdp"]),
-           points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-9.0, 0.0),
+    @given(model_name=st.sampled_from(["linear", "rimless", "vdp"]),
+           points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-9.0, 3.0),
                                      st.floats(0.0, 2.0 * math.pi)),
-                           min_size=1, max_size=8))
-    def test_orbital_deviations_match_dist_to_orbit(self, rimless_orbit, vdp_orbit,
-                                                    model_name, points):
+                           min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_orbital_deviations_match_dist_to_orbit(self, linear_sys, rimless_sys, vdp_sys,
+                                                    linear_orbit, rimless_orbit, vdp_orbit,
+                                                    model_name, points, seed):
         # every row of the sweep's batched query is the scalar query's
-        # distance, to 1e-12 relative or one rounding unit of the orbit's
-        # coordinates, below which no distance is resolved
-        orb = rimless_orbit if model_name == "rimless" else vdp_orbit
-        xs = np.array([orb.eval(tau_frac * orb.t_star)
-                       + 10.0 ** log_off * np.array([math.cos(angle), math.sin(angle)])
-                       for tau_frac, log_off, angle in points])
+        # distance bit for bit: points off the orbit from 1e-9 to 1000
+        # diameters, and on-surface points drawn as certify draws them
+        sysd, orb = {"linear": (linear_sys, linear_orbit), "rimless": (rimless_sys, rimless_orbit),
+                     "vdp": (vdp_sys, vdp_orbit)}[model_name]
+        xs = np.array([orb.eval(tau_frac * orb.t_star) + 10.0 ** log_off * orb.diameter
+                       * np.array([math.cos(angle), math.sin(angle)])
+                       for tau_frac, log_off, angle in points]
+                      + _certify_style_samples(sysd, orb, 2, seed))
         want = [dist_to_orbit(orb, x)[0] for x in xs]
-        ulp = np.finfo(float).eps * float(np.max(np.abs(orb.points)))
-        assert np.allclose(orbital_deviations(orb, xs), want, rtol=1e-12, atol=ulp)
+        assert orbital_deviations(orb, xs).tolist() == want
 
     def test_repeated_sample_counts_as_its_endpoint(self, linear_orbit):
         # a repeated orbit sample makes a zero-length chord, which must read
@@ -218,7 +221,7 @@ class TestDistToOrbit:
                       taus=np.insert(linear_orbit.taus, k, linear_orbit.taus[k]),
                       points=np.insert(linear_orbit.points, k, linear_orbit.points[k], axis=0))
         x = np.array([0.5, 0.2])
-        assert np.all(np.isfinite(orb.coarse_distances(x)))
+        assert np.all(np.isfinite(_chord_sq_distances(orb.chords, x[None, :])))
         d, taus = dist_to_orbit(orb, x)
         assert d == pytest.approx(0.2, abs=1e-9)
         assert taus[0] == pytest.approx(0.5, abs=1e-6)
@@ -233,7 +236,7 @@ class TestDistToOrbit:
         rng = np.random.default_rng(8)
         xs = rimless_orbit.x_star + rng.uniform(-1.0, 1.0, size=(500, 2))
         idx, dist = nearest_chords(rimless_orbit.chords, xs)
-        full = np.array([rimless_orbit.coarse_distances(x) for x in xs])
+        full = np.sqrt(_chord_sq_distances(rimless_orbit.chords, xs))
         assert np.array_equal(idx, np.argmin(full, axis=1))
         assert np.array_equal(dist, np.min(full, axis=1))
 
@@ -496,9 +499,10 @@ def _golden_refine(orbit, x, lo, hi):
 
 
 def _golden_dist(orbit, x):
-    """Reference `dist_to_orbit` distance: the same brackets, each refined
-    by golden section, plus the two orbit ends."""
-    chord = orbit.coarse_distances(x)
+    """Reference orbit distance: every run of chords within ds_max of the
+    nearest one, a wider net than `dist_to_orbit`'s nearest-chord bracket,
+    each run refined by golden section, plus the two orbit ends."""
+    chord = np.sqrt(_chord_sq_distances(orbit.chords, x[None, :])[0])
     cand = np.flatnonzero(chord <= float(np.min(chord)) + orbit.ds_max)
     runs = []
     for i in cand:
@@ -592,7 +596,7 @@ class TestNewtonRefine:
             x = orb.eval(tau_frac * orb.t_star) + 10.0 ** log_off * np.array([math.cos(angle),
                                                                             math.sin(angle)])
             xs.append(x)
-            chords.append({"nearest": int(np.argmin(orb.coarse_distances(x))),
+            chords.append({"nearest": int(np.argmin(_chord_sq_distances(orb.chords, x[None, :]))),
                            "first": 0, "last": last - 1}[where])
         xs, chords = np.array(xs), np.array(chords)
         j0, j1 = np.maximum(chords - 1, 0), np.minimum(chords + 2, last)
@@ -622,7 +626,8 @@ class TestChordCache:
         xs = rimless_orbit.x_star + rng.uniform(-2.0, 2.0, size=(500, 2))
         for x in xs:
             want = np.sqrt(_chord_sq_distances_per_call(rimless_orbit.points, x[None, :])[0])
-            assert np.array_equal(rimless_orbit.coarse_distances(x), want)
+            got = np.sqrt(_chord_sq_distances(rimless_orbit.chords, x[None, :])[0])
+            assert np.array_equal(got, want)
 
     def test_nearest_chords_bit_identical_to_per_call_geometry(self, rimless_orbit):
         rng = np.random.default_rng(24)
