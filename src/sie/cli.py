@@ -31,7 +31,7 @@ from .errors import (ChartSingular, ConfigError, InfiniteTimeToImpact,
                      NewtonDiverged, SieError)
 from .flow import IntegratorConfig
 from .hybrid import GuardConfig, simulate
-from .iss import SweepConfig, check_equivalence, fit_gain, run_sweep
+from .iss import TALLIED_OUTCOMES, SweepConfig, check_equivalence, fit_gain, run_sweep
 from .models import model
 from .orbit import Chords, UpperBoundViolation, build_orbit, certify_prop1, nearest_chords
 from .poincare import find_fixed_point, linearize
@@ -45,6 +45,13 @@ _EXIT_CERTIFY = 4
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _sample_times(t0: float, t1: float, dt: float) -> np.ndarray:
+    """The grid t0, t0 + dt, .. and t1, without grid samples within 1e-9 dt
+    of t1, so the row count does not follow the last bit of an impact time."""
+    ts = np.arange(t0, t1, dt)
+    return np.append(ts[ts < t1 - 1e-9 * dt], t1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +194,8 @@ _BLOCKS = {
                   {"guess", "offsets", "u_amps", "v_amps"}),
     "validate": ({"probes": _rows}, ()),
 }
-_TOP_KEYS = {"model", "seed", "integrator", "guards",
-             "simulate", "orbit", "certify_prop1", "iss_sweep", "validate"}
 # blocks are read when a command uses them
-_TOP = ({**dict.fromkeys(_TOP_KEYS, lambda v: v), "seed": _seed}, {"model"})
+_TOP = ({**dict.fromkeys(_BLOCKS, lambda v: v), "seed": _seed}, {"model"})
 
 
 def _block(cfg: dict, name: str) -> dict:
@@ -287,7 +292,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
               + (["dist_to_orbit"] if chords is not None else []) + ["segment_index"])
     rows = []
     for si, seg in enumerate(traj.segments):
-        ts = np.append(np.arange(seg.t0, seg.t1, sample_dt), seg.t1)
+        ts = _sample_times(seg.t0, seg.t1, sample_dt)
         xs = seg.eval_many(ts)
         dists = nearest_chords(chords, xs)[1] if chords is not None else None
         for j, (t, x) in enumerate(zip(ts, xs)):
@@ -370,12 +375,10 @@ def _cmd_iss_sweep(cfg: dict, out: Path) -> int:
     sw = run_sweep(sysdef, build_orbit(sysdef, report), report, sweep, icfg, guards)
     verdict = check_equivalence(sw)
     header = ["offset", "u_amp", "v_amp", "trials", "ultimate_orbital",
-              "ultimate_discrete", "peak", "zeno_guard", "beating_guard",
-              "escape", "error", "no_post_transient"]
-    tally_keys = ("zeno-guard", "beating-guard", "escape", "error", "no-post-transient")
+              "ultimate_discrete", "peak", *(k.replace("-", "_") for k in TALLIED_OUTCOMES)]
     rows = [[c.offset, c.u_amp, c.v_amp, len(c.per_trial_orbital),
              c.ultimate_orbital, c.ultimate_discrete, c.peak,
-             *(c.guard_tallies.get(k, 0) for k in tally_keys)]
+             *(c.guard_tallies.get(k, 0) for k in TALLIED_OUTCOMES)]
             for c in sw.cells]
     _write_csv(out / "cells.csv", header, rows)
     gains = {}

@@ -19,9 +19,6 @@ from . import _rng
 from .errors import EvaluatorFailure, PreconditionError
 
 _SURFACE_TOL = 1e-8  # |H| below this, relative to max(1, |x|), is on the surface
-# a declared affine surface must reproduce h to this, relative to the size of
-# its terms: rounding of one dot product, well inside the event scan's margin
-_AFFINE_MATCH_REL = 1e-13
 # central-difference step of the stand-in derivatives (grad H, Df, D delta):
 # the O(step^2) error sits near 1e-12 times the local curvature
 _FD_REL_STEP = 1e-6
@@ -64,22 +61,20 @@ class HybridSystemDef:
     """The triple (f, delta, H) with dimensions (n, p, q).
 
     f(x, u_value) is the vector field, delta(x, v_value) the reset applied on
-    the switching surface S = {H(x) = 0}.  Optional analytic derivatives:
-    grad_h(x) of H, jac_f(x, u_value) = Df (n x n, in x) and
-    jac_delta(x, v_value) = D delta (n x n, in x); central differences
-    stand in for any that is left out.  Evaluators must be total:
-    exceptions and non-finite outputs surface as EvaluatorFailure, never as
-    silent NaN propagation.
+    the switching surface S = {H(x) = 0}.  H is declared once: either as
+    h(x), with an optional analytic grad_h(x), or as surface = (g, c), the
+    affine H(x) = c + g . x with gradient g, which lets the event scan clear
+    a whole step at once.  Optional analytic derivatives of the flow and the
+    reset: jac_f(x, u_value) = Df (n x n, in x) and jac_delta(x, v_value) =
+    D delta (n x n, in x); central differences stand in for any derivative
+    that is left out, and `validate_system` checks the declared ones against
+    them.  Evaluators must be total: exceptions and non-finite outputs
+    surface as EvaluatorFailure, never as silent NaN propagation.
 
     surface_reset_ok marks models whose reset intentionally lands on S itself
     (identity-reset adapters for continuous limit cycles, restitution maps of
     the bouncing-ball kind).  For ordinary systems the reset must land
     strictly above the surface and the default (False) keeps that contract.
-
-    surface = (g, c) declares H affine, H(x) = c + g . x, which lets the
-    event scan clear a whole step at once; `validate_system` checks it
-    against h, and checks grad_h, jac_f and jac_delta against central
-    differences.
     """
 
     n: int
@@ -87,7 +82,7 @@ class HybridSystemDef:
     q: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     delta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray], float]
+    h: Callable[[np.ndarray], float] | None = None
     grad_h: Callable[[np.ndarray], np.ndarray] | None = None
     surface_reset_ok: bool = False
     name: str = ""
@@ -97,6 +92,11 @@ class HybridSystemDef:
     jac_delta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.surface is None and self.h is None:
+            raise PreconditionError("H is undeclared: give h, or surface = (g, c)")
+        if self.surface is not None and (self.h is not None or self.grad_h is not None):
+            raise PreconditionError("surface = (g, c) declares H and its gradient; "
+                                    "h and grad_h would declare them twice")
         if self.surface is not None:
             g, c = self.surface
             g, c = np.asarray(g, dtype=float), float(c)
@@ -113,7 +113,8 @@ class HybridSystemDef:
     def eval_h(self, x: np.ndarray) -> float:
         # its own float path: the event scan's hot call, at 1/10 of `_checked`'s cost
         try:
-            out = float(self.h(x))
+            out = (float(self.h(x)) if self.surface is None
+                   else self.surface[1] + float(self.surface[0] @ x))
         except Exception as exc:  # noqa: BLE001
             raise EvaluatorFailure("h", x, str(exc)) from exc
         if not math.isfinite(out):
@@ -121,7 +122,9 @@ class HybridSystemDef:
         return out
 
     def surface_gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad H(x): the declared grad_h, else central differences of h."""
+        """grad H(x): the surface's g, the declared grad_h, else central differences of h."""
+        if self.surface is not None:
+            return self.surface[0].copy()
         return self._derivative("grad_h", self.eval_h, x)
 
     def flow_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
@@ -379,11 +382,10 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
     Per probe, with zero inputs: f, delta and h are evaluated, checked, and
     gradients that vanish on the surface (below 1e-12, breaking the
     codimension-1 structure) are flagged.  Evaluator failures propagate as
-    EvaluatorFailure with the probe index attached.  A declared affine
-    surface that misses h by more than _AFFINE_MATCH_REL of its terms' size,
-    and a declared grad_h, jac_f or jac_delta that misses central
-    differences of the bare model by more than _JAC_MATCH_REL of the size of
-    the map and its derivative, raise PreconditionError.
+    EvaluatorFailure with the probe index attached.  A declared grad_h,
+    jac_f or jac_delta that misses central differences of the bare model by
+    more than _JAC_MATCH_REL of the size of the map and its derivative
+    raises PreconditionError.
     """
     probes = [np.asarray(p, dtype=float) for p in probe_states]
     if not probes:
@@ -403,12 +405,6 @@ def validate_system(sys: HybridSystemDef, probe_states: Sequence[np.ndarray]) ->
             derivatives = (("grad_h", hv, "surface_gradient", ()),
                            ("jac_f", sys.eval_f(x, u0), "flow_jacobian", (u0,)),
                            ("jac_delta", sys.eval_delta(x, v0), "reset_jacobian", (v0,)))
-            if sys.surface is not None:
-                g, c = sys.surface
-                affine = c + g @ x
-                if abs(affine - hv) > _AFFINE_MATCH_REL * (1.0 + abs(c) + np.abs(g) @ np.abs(x)):
-                    raise PreconditionError(
-                        f"probe {idx}: declared surface gives H={affine!r}, h gives {hv!r}")
             for which, value, accessor, args in derivatives:
                 if getattr(sys, which) is None:
                     continue

@@ -29,7 +29,7 @@ _EVENT_TOL = 1e-10
 
 # an affine H clears a step when the quartic it follows there stays above
 # this, relative to the size of its terms: far above the rounding of the
-# dense output and of h, and of a declaration that validate_system accepts
+# dense output and of H
 _CLEAR_REL = 1e-12
 
 

@@ -27,6 +27,8 @@ from .poincare import StabilityReport
 _ZERO_FLOOR = 1e-6
 _FIT_FLOOR = 1e-9  # decay-fit points at or below this are integration noise
 _N_BOOT = 300
+# trial outcomes a cell tallies instead of measuring, in the column order of cells.csv
+TALLIED_OUTCOMES = ("zeno-guard", "beating-guard", "escape", "error", "no-post-transient")
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,7 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
         trial_orb: list[float] = []
         trial_disc: list[float] = []
         peak = 0.0
-        tallies = {"zeno-guard": 0, "beating-guard": 0, "escape": 0, "error": 0,
-                   "no-post-transient": 0}
+        tallies = dict.fromkeys(TALLIED_OUTCOMES, 0)
         series: list[TrialSeries] = []
         keep = u_amp == 0.0 and v_amp == 0.0
         for trial in range(sweep.trials):

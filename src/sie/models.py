@@ -59,8 +59,6 @@ def _linear_reset(a: float) -> HybridSystemDef:
 
     return HybridSystemDef(
         n=2, p=1, q=1, f=f, delta=delta,
-        h=lambda x: 1.0 - x[0],
-        grad_h=lambda x: np.array([-1.0, 0.0]),
         surface=((-1.0, 0.0), 1.0),
         jac_f=lambda x, u: np.array([[0.0, 0.0], [0.0, -a]]),
         jac_delta=lambda x, v: np.array([[0.0, 0.0], [0.0, 1.0]]),
@@ -108,8 +106,6 @@ def _rimless_wheel(alpha: float, gamma: float, g_over_l: float) -> HybridSystemD
 
     return HybridSystemDef(
         n=2, p=1, q=1, f=f, delta=delta,
-        h=lambda x: (gamma + alpha) - x[0],
-        grad_h=lambda x: np.array([-1.0, 0.0]),
         surface=((-1.0, 0.0), gamma + alpha),
         jac_f=lambda x, u: np.array([[0.0, 1.0], [g_over_l * math.cos(x[0]), 0.0]]),
         jac_delta=lambda x, v: np.array([[0.0, 0.0], [0.0, c2a]]),
@@ -193,8 +189,6 @@ def _bouncing_ball(g: float, restitution: float) -> HybridSystemDef:
 
     return HybridSystemDef(
         n=2, p=1, q=1, f=f, delta=delta,
-        h=lambda x: x[0],
-        grad_h=lambda x: np.array([1.0, 0.0]),
         surface=((1.0, 0.0), 0.0),
         surface_reset_ok=True,
         jac_f=lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),

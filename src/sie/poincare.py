@@ -154,12 +154,12 @@ def _map_cfg(cfg: IntegratorConfig | None) -> IntegratorConfig:
 class _Variational(HybridSystemDef):
     """A system carried with its variational matrix: the state X = (x, Psi),
     Psi an n x n matrix stored row by row, with Psi' = Df(x, u) Psi along the
-    flow and Psi <- D Delta(x, v) at the reset.  H, its gradient and its
-    affine form read x only, so crossings are those of the base system,
-    while the step control covers Psi as well.  The raw f feeds the
-    stepper's stages and the checked eval_f names the base evaluator that
-    failed; the reset is built on the base's checked eval_delta and
-    reset_jacobian, whose failures pass through unchanged."""
+    flow and Psi <- D Delta(x, v) at the reset.  H and its gradient read x
+    only (an affine surface is padded with zeros), so crossings are those of
+    the base system, while the step control covers Psi as well.  The raw f
+    feeds the stepper's stages and the checked eval_f names the base
+    evaluator that failed; the reset is built on the base's checked
+    eval_delta and reset_jacobian, whose failures pass through unchanged."""
 
     base: HybridSystemDef | None = field(default=None, compare=False)
 
@@ -177,14 +177,15 @@ class _Variational(HybridSystemDef):
             x = X[:n]
             return np.concatenate((sys.eval_delta(x, v), sys.reset_jacobian(x, v).ravel()))
 
-        surface = None
         if sys.surface is not None:
             g, c = sys.surface
-            surface = (np.concatenate((g, pad)), c)
+            declared = {"surface": (np.concatenate((g, pad)), c)}
+        else:
+            declared = {"h": lambda X: h(X[:n]),
+                        "grad_h": lambda X: np.concatenate((sys.surface_gradient(X[:n]), pad))}
         return _Variational(
-            n=n + n * n, p=sys.p, q=sys.q, f=f_var, delta=delta_var, h=lambda X: h(X[:n]),
-            grad_h=lambda X: np.concatenate((sys.surface_gradient(X[:n]), pad)),
-            surface_reset_ok=sys.surface_reset_ok, name=sys.name, surface=surface, base=sys)
+            n=n + n * n, p=sys.p, q=sys.q, f=f_var, delta=delta_var,
+            surface_reset_ok=sys.surface_reset_ok, name=sys.name, base=sys, **declared)
 
     def eval_f(self, X: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         base, n = self.base, self.base.n

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,3 +73,11 @@ def scalar_traj_eval(traj, t):
     evaluated with the scalar FlowSegment.eval."""
     seg = [s for s in traj.segments if s.t0 <= t][-1]
     return seg.eval(min(t, seg.t1))
+
+
+def plain_twin(sysd):
+    """sysd with its affine surface (g, c) restated as a plain h = c + g . x
+    and a declared grad_h = g: the event scan samples every step, and the
+    gradient is a declaration that can be replaced or checked like any."""
+    g, c = sysd.surface
+    return replace(sysd, surface=None, h=lambda x: c + float(g @ x), grad_h=lambda x: g.copy())

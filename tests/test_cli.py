@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sie.cli import main
+from sie.cli import _sample_times, main
 from tests.conftest import RIMLESS_THETA_IMPACT
 
 
@@ -40,6 +40,14 @@ class TestSimulateCommand:
         assert traj_header == "t,x_1,x_2,segment_index"
         meta = json.loads((out / "meta.json").read_text())
         assert meta["termination"] == "horizon-reached"
+
+    @pytest.mark.parametrize("t0", [2.0, np.nextafter(2.0, 0.0)])
+    def test_sample_grid_ignores_the_last_bit_of_a_segment_start(self, t0):
+        # np.arange(nextafter(2, 0), 3, 0.05) keeps a sample 4e-16 before 3;
+        # the grid leaves it out, so both starts give 20 samples and the end
+        ts = _sample_times(t0, 3.0, 0.05)
+        assert len(ts) == 21 and ts[0] == t0 and ts[-1] == 3.0
+        assert np.all(np.diff(ts) > 0.04)
 
     def test_unknown_model_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

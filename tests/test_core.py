@@ -10,6 +10,7 @@ from sie.core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
 from sie.errors import EvaluatorFailure, PreconditionError
 from sie import models
 from sie.orbit import Chords, nearest_chords
+from sie.poincare import _Variational
 
 
 def test_splitmix64_reference_vectors():
@@ -208,7 +209,7 @@ class TestValidateSystem:
 
     @pytest.mark.parametrize("name", sorted(models.catalog()))
     def test_probe_of_wrong_dimension_rejected(self, name):
-        # the affine-surface check would otherwise fail in a raw matmul
+        # an affine H would otherwise fail in a raw matmul
         sys = models.model(name)
         for probe in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
             with pytest.raises(PreconditionError, match="shape"):
@@ -229,24 +230,46 @@ class TestValidateSystem:
                 fd = undeclared.surface_gradient(x)
                 assert euclidean(analytic - fd) <= 1e-5 * max(1.0, euclidean(fd))
 
-    def test_declared_surfaces_match_h(self):
-        rng = np.random.default_rng(5)
-        for name, entry in models.catalog().items():
-            sys = entry.factory(**entry.defaults)
-            if sys.surface is not None:
-                validate_system(sys, list(rng.normal(scale=10.0, size=(20, sys.n))))
+    def test_affine_surface_is_the_former_closed_form(self):
+        # the H and grad H derived from surface = (g, c) equal, bit for bit,
+        # the h and grad_h each affine model stated before, on the model and
+        # on its variational system, whose g is padded with zeros
+        rng = np.random.default_rng(7)
+        for name, closed_form, gradient in (
+                ("linear-reset", lambda x: 1.0 - x[0], (-1.0, 0.0)),
+                ("rimless-wheel", lambda x: (0.08 + math.pi / 8.0) - x[0], (-1.0, 0.0)),
+                ("bouncing-ball", lambda x: x[0], (1.0, 0.0))):
+            sys = models.model(name)
+            xs = rng.normal(size=(10_000, sys.n)) * 10.0 ** rng.uniform(-12.0, 12.0, (10_000, 1))
+            want = np.array([closed_form(x) for x in xs])
+            psis = rng.normal(size=(10_000, sys.n * sys.n))
+            for sysd, states in ((sys, xs), (_Variational.of(sys), np.hstack((xs, psis)))):
+                got = np.array([sysd.eval_h(x) for x in states])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+                grad = np.concatenate((gradient, np.zeros(sysd.n - sys.n)))
+                assert all(np.array_equal(sysd.surface_gradient(x), grad) for x in states), name
 
-    def test_wrong_surface_declaration_is_a_precondition_error(self, linear_sys):
-        wrong = replace(linear_sys, surface=((-1.0, 0.0), 1.0 + 1e-9))
-        with pytest.raises(PreconditionError, match="probe 0: declared surface"):
-            validate_system(wrong, [np.array([1.0, 0.0]), np.array([0.5, 2.0])])
+    def test_surface_declared_with_h_or_grad_h_is_refused(self):
+        # the surface is H and its gradient: a second declaration that could
+        # disagree with it is not built
+        for twice in ({"h": lambda x: 1.0 - x[0]}, {"grad_h": lambda x: np.array([-1.0, 0.0])},
+                      {"h": lambda x: 1.0 - x[0], "grad_h": lambda x: np.array([-1.0, 0.0])}):
+            with pytest.raises(PreconditionError, match="declare them twice"):
+                HybridSystemDef(n=2, p=1, q=1, f=lambda x, u: x, delta=lambda x, v: x,
+                                surface=((-1.0, 0.0), 1.0), **twice)
+
+    def test_undeclared_h_is_refused(self, linear_sys):
+        with pytest.raises(PreconditionError, match="H is undeclared"):
+            HybridSystemDef(n=2, p=1, q=1, f=lambda x, u: x, delta=lambda x, v: x)
+        with pytest.raises(PreconditionError, match="H is undeclared"):
+            replace(linear_sys, surface=None)
 
     @pytest.mark.parametrize("surface", [((1.0,), 0.0), ((1.0, math.nan), 0.0),
                                          ((1.0, 0.0), math.inf)])
     def test_malformed_surface_is_refused(self, surface):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="surface must be"):
             HybridSystemDef(n=2, p=1, q=1, f=lambda x, u: x, delta=lambda x, v: x,
-                            h=lambda x: float(x[0]), surface=surface)
+                            surface=surface)
 
 
 def test_types_are_immutable(linear_sys):

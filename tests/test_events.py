@@ -16,7 +16,7 @@ from sie.hybrid import simulate
 from sie.poincare import poincare_map
 from sie import models
 from tests.conftest import (RIMLESS_OMEGA_PLUS, RIMLESS_OMEGA_STAR,
-                            RIMLESS_T_STAR, RIMLESS_THETA_IMPACT)
+                            RIMLESS_T_STAR, RIMLESS_THETA_IMPACT, plain_twin)
 
 U0 = ContinuousSignal.zero(1)
 CFG = IntegratorConfig()
@@ -82,7 +82,7 @@ class TestLocateCrossing:
         # (1, 0) gives a positive flow derivative there: the bracket runs
         # from H = +4e-4 to -8e-3, far outside the event tolerance, so the
         # crossing is refused rather than dropped as an interpolant wiggle
-        bad = replace(linear_sys, grad_h=lambda x: np.array([1.0, 0.0]))
+        bad = replace(plain_twin(linear_sys), grad_h=lambda x: np.array([1.0, 0.0]))
         x0 = np.array([0.0, 0.3])
         with pytest.raises(EvaluatorFailure) as got:
             first_crossing(bad, x0, U0, 0.0, 5.0, CFG)
@@ -167,7 +167,7 @@ def test_crossing_evaluates_the_surface_gradient_once_per_state():
     # lfh and the graze tolerance come from one evaluation of f and grad H at
     # each state the localization visits, the bisection midpoint and the
     # Newton-polished state; judging the graze evaluates nothing more
-    base = models.model("linear-reset")
+    base = plain_twin(models.model("linear-reset"))
     calls = []
 
     def grad_h(x):

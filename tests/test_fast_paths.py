@@ -26,6 +26,7 @@ from sie.flow import IntegratorConfig, _quartic
 from sie.hybrid import simulate
 from sie.iss import _N_BOOT, _bootstrap_median_diff
 from sie.orbit import Chords, _chord_sq_distances, nearest_chords
+from tests.conftest import plain_twin
 
 U0 = ContinuousSignal.zero(1)
 V0 = DiscreteSequence.zero(1)
@@ -112,12 +113,12 @@ def test_list_output_is_accepted_bit_for_bit():
 
 
 def _affine_pair(g: np.ndarray, c: float, drift: np.ndarray):
-    """The same affine surface with and without its declaration; the flow
-    is the constant drift, so the crossing direction is g . drift."""
-    n = len(g)
-    plain = HybridSystemDef(n=n, p=1, q=1, f=lambda x, u: drift.copy(),
-                            delta=lambda x, v: x, h=lambda x: c + float(g @ x))
-    return replace(plain, surface=(g, c)), plain
+    """The same affine surface declared, and restated as a plain h with
+    grad_h = g; the flow is the constant drift, so the crossing direction
+    is g . drift."""
+    declared = HybridSystemDef(n=len(g), p=1, q=1, f=lambda x, u: drift.copy(),
+                               delta=lambda x, v: x, surface=(g, c))
+    return declared, plain_twin(declared)
 
 
 def _scan_outcome(sysd, record, from_t):
@@ -219,24 +220,21 @@ def test_end_state_guards_the_clear():
     ("rimless-wheel", [0.08 - math.pi / 8.0, 1.0954628396476573], 3.5),
     ("bouncing-ball", [1.0, 0.0], 3.0),
 ])
-def test_catalog_crossings_match_the_undeclared_scan(name, x0, t_end):
+def test_catalog_crossings_match_the_undeclared_scan(name, x0, t_end, monkeypatch):
     declared = models.model(name)
     assert declared.surface is not None
-    plain = replace(declared, surface=None)
+    plain = plain_twin(declared)
     u = ContinuousSignal.sinusoid([0.05], 3.0)
-    calls = []
+    calls = {id(declared): 0, id(plain): 0}
+    eval_h = HybridSystemDef.eval_h
 
-    def counted(sysd):
-        calls.append(0)
-        slot = len(calls) - 1
+    def counted(self, x):
+        calls[id(self)] += 1
+        return eval_h(self, x)
 
-        def h(x):
-            calls[slot] += 1
-            return sysd.h(x)
-        return replace(sysd, h=h)
-
-    a = first_crossing(counted(declared), np.array(x0), u, 0.0, t_end, CFG)
-    b = first_crossing(counted(plain), np.array(x0), u, 0.0, t_end, CFG)
+    monkeypatch.setattr(HybridSystemDef, "eval_h", counted)
+    a = first_crossing(declared, np.array(x0), u, 0.0, t_end, CFG)
+    b = first_crossing(plain, np.array(x0), u, 0.0, t_end, CFG)
     assert a.event is not None and b.event is not None
     assert (a.event.t_hit, a.event.lfh, a.event.localization_width) == \
         (b.event.t_hit, b.event.lfh, b.event.localization_width)
@@ -245,7 +243,7 @@ def test_catalog_crossings_match_the_undeclared_scan(name, x0, t_end):
     # the declared scan samples only the step that holds the crossing, and
     # then bisects as the undeclared one does
     steps = a.segment.n_accepted
-    assert calls[1] - calls[0] == 12 * (steps - 1)
+    assert calls[id(plain)] - calls[id(declared)] == 12 * (steps - 1)
 
 
 # ---------------------------------------------------------------------------

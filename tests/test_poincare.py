@@ -26,8 +26,8 @@ def rotated_linear_reset(angle: float) -> HybridSystemDef:
         n=2, p=1, q=1,
         f=lambda x, u: R @ base.f(R.T @ x, u),
         delta=lambda x, v: R @ base.delta(R.T @ x, v),
-        h=lambda x: base.h(R.T @ x),
-        grad_h=lambda x: R @ base.grad_h(R.T @ x),
+        h=lambda x: base.eval_h(R.T @ x),
+        grad_h=lambda x: R @ base.surface_gradient(R.T @ x),
         name="linear-reset-rotated",
     )
 

@@ -28,7 +28,7 @@ from sie.core import HybridSystemDef, validate_system
 from sie.errors import EvaluatorFailure, InfiniteTimeToImpact, NewtonDiverged, PreconditionError
 from sie.flow import IntegratorConfig
 from sie.poincare import _verdict, find_fixed_point, linearize
-from tests.conftest import RIMLESS_OMEGA_STAR
+from tests.conftest import RIMLESS_OMEGA_STAR, plain_twin
 
 ORACLE_TOL = 1e-9
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -148,6 +148,12 @@ PROBES = [np.array([0.3, -1.2]), np.array([1.1, 0.4])]
 DECLARATIONS = ["grad_h", "jac_f", "jac_delta"]
 
 
+def _declaring(sysd: HybridSystemDef, which: str) -> HybridSystemDef:
+    """sysd, or its plain twin where an affine surface stands in for the
+    grad_h declaration that `which` names."""
+    return plain_twin(sysd) if which == "grad_h" and sysd.surface is not None else sysd
+
+
 def _perturbed(sysd: HybridSystemDef, which: str, entry: int, rel: float) -> HybridSystemDef:
     """sysd with rel * max(1, |e|) added to the entry e (flat index) of the
     declared derivative `which`, wherever it is read."""
@@ -163,7 +169,7 @@ def _perturbed(sysd: HybridSystemDef, which: str, entry: int, rel: float) -> Hyb
 
 @pytest.mark.parametrize("which", DECLARATIONS)
 def test_validate_rejects_a_wrong_declaration(which):
-    sysd = models.model("rimless-wheel")
+    sysd = _declaring(models.model("rimless-wheel"), which)
     wrong = _perturbed(sysd, which, 1 if which == "grad_h" else 2, 1e-3)
     validate_system(sysd, PROBES)
     with pytest.raises(PreconditionError, match=f"probe 0: declared {which}"):
@@ -173,7 +179,7 @@ def test_validate_rejects_a_wrong_declaration(which):
 def test_sign_flipped_grad_h_is_refused():
     # a sign-flipped gradient hides the crossings from the event scan:
     # simulate from (0, 0.3) on [0, 5] would log none of the five impacts
-    sysd = models.model("linear-reset")
+    sysd = plain_twin(models.model("linear-reset"))
     right = sysd.grad_h
     wrong = replace(sysd, grad_h=lambda x: -right(x))
     with pytest.raises(PreconditionError,
@@ -189,7 +195,7 @@ def test_sign_flipped_grad_h_is_refused():
 def test_one_rule_for_every_declared_derivative(name, which, entry, probes):
     # a miss of 1e-4 relative in any one entry of any declared derivative is
     # refused under that derivative's name; the catalog model itself passes
-    sysd = models.model(name)
+    sysd = _declaring(models.model(name), which)
     probes = [np.array(p) for p in probes]
     validate_system(sysd, probes)
     entry %= sysd.n if which == "grad_h" else sysd.n * sysd.n
