@@ -90,9 +90,10 @@ class FlowSegment:
 
     def _jet(self, t):
         """`_quartic` jet of the step holding each time; the values at and
-        beyond the segment's ends are its end nodes exactly.  Values come
-        from the jet even where only they are wanted, so `eval` and `jet`
-        agree bit for bit."""
+        beyond the segment's ends are its end nodes exactly.  `eval` and
+        `eval_many` read the values alone; they keep the three-row product,
+        whose rounding a one-row product need not repeat, so orbit samples
+        and trajectory rows keep their bits."""
         i = self.ts[1:].searchsorted(t, "right")  # 0 before the first node
         y, dy, ddy = _quartic(self.ts[i], self.hs[i], self.ys[i], self.qs[i], t, jet=True)
         y[t <= self.t0] = self.ys[0]
@@ -108,13 +109,6 @@ class FlowSegment:
     def eval(self, t: float) -> np.ndarray:
         self._check_span(t)
         return self._jet(t)[0]
-
-    def jet(self, t):
-        """`eval` and the first two t-derivatives, for one time or an array
-        of times (one row each); outside (t0, t1) the derivatives are those
-        of the end step's quartic."""
-        self._check_span(t)
-        return self._jet(t)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """`eval` of a batch of times, one row each, without the span check:

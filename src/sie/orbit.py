@@ -10,6 +10,7 @@ the equivalent backward indexing is tau -> T* - tau.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,6 +61,10 @@ class PeriodicOrbit:
     @cached_property
     def chords(self) -> Chords:
         return Chords.of(self.points)
+
+    @cached_property
+    def steps(self) -> _Steps:
+        return _Steps.of(self.segment)
 
 
 @dataclass(frozen=True)
@@ -245,30 +250,106 @@ def build_orbit(sys: HybridSystemDef, report: StabilityReport) -> PeriodicOrbit:
                          diameter=diameter, ds_max=ds_max)
 
 
-def _g_terms(r: np.ndarray, dy: np.ndarray, ddy: np.ndarray) -> tuple[np.ndarray, ...]:
-    """g = ||r||^2 and half of g' and g'' for r = x - y(tau), from one
-    stacked product summed over the last axis: the same sums for one row or
-    many, so the batched refine repeats the scalar one bit for bit."""
-    rr, r_dy, dy_dy, r_ddy = (np.array([r, r, dy, r]) * np.array([r, dy, dy, ddy])).sum(axis=-1)
+def _step_jet(t, h, y0, q, tau):
+    """y, y' and y'' at tau of the Dormand-Prince step quartic
+    y0 + h Q [th, th^2, th^3, th^4], th = (tau - t)/h, one coordinate at a
+    time: y0 holds the step's left node and q its rows of Q, and each sum
+    runs in the order of Q's columns.  Written with + - * / alone, so the
+    same expressions serve Python floats (one tau) and NumPy columns (one
+    tau and one step per row) and agree bit for bit."""
+    th = (tau - t) / h
+    t2 = th * th
+    t3 = t2 * th
+    t4 = t2 * t2
+    th2, t2_3, t3_4, th6, t2_12 = 2.0 * th, 3.0 * t2, 4.0 * t3, 6.0 * th, 12.0 * t2
+    y, dy, ddy = [], [], []
+    for y0j, (q0, q1, q2, q3) in zip(y0, q):
+        y.append(y0j + h * (q0 * th + q1 * t2 + q2 * t3 + q3 * t4))
+        dy.append(q0 + q1 * th2 + q2 * t2_3 + q3 * t3_4)
+        ddy.append((2.0 * q1 + q2 * th6 + q3 * t2_12) / h)
+    return y, dy, ddy
+
+
+def _g_terms(x, y, dy, ddy):
+    """g = ||r||^2 and half of g' and g'' for r = x - y(tau), summed one
+    coordinate at a time in coordinate order, for floats or columns."""
+    rr = r_dy = dy_dy = r_ddy = 0.0
+    for xj, yj, dyj, ddyj in zip(x, y, dy, ddy):
+        r = xj - yj
+        rr = rr + r * r
+        r_dy = r_dy + r * dyj
+        dy_dy = dy_dy + dyj * dyj
+        r_ddy = r_ddy + r * ddyj
     return rr, -r_dy, dy_dy - r_ddy
+
+
+def _sq_norm(coords):
+    """Sum of squares of coords in coordinate order, for floats or columns."""
+    out = 0.0
+    for c in coords:
+        out = out + c * c
+    return out
+
+
+@dataclass(frozen=True)
+class _Steps:
+    """A segment's steps as Python lists, for the scalar refine: the right
+    step ends ts[1:] that pick a step, and per step its left time, size,
+    left node and rows of Q; ys keeps the end node too."""
+
+    ends: list[float]
+    ts: list[float]
+    hs: list[float]
+    ys: list[list[float]]
+    qs: list[list[list[float]]]
+    t0: float
+    t1: float
+
+    @classmethod
+    def of(cls, seg: FlowSegment) -> "_Steps":
+        return cls(ends=seg.ts[1:].tolist(), ts=seg.ts.tolist(), hs=seg.hs.tolist(),
+                   ys=seg.ys.tolist(), qs=seg.qs.tolist(), t0=seg.t0, t1=seg.t1)
+
+    def jet(self, tau: float) -> tuple[list[float], list[float], list[float]]:
+        """`_step_jet` of the step holding tau, as searchsorted(tau, "right")
+        on ts[1:] picks it; at and beyond t0 and t1 the value is the end
+        node and the derivatives are the end step's."""
+        i = bisect_right(self.ends, tau)
+        y, dy, ddy = _step_jet(self.ts[i], self.hs[i], self.ys[i], self.qs[i], tau)
+        if tau <= self.t0:
+            y = self.ys[0]
+        elif tau >= self.t1:
+            y = self.ys[-1]
+        return y, dy, ddy
+
+
+def _jet_many(seg: FlowSegment, tau: np.ndarray) -> tuple[list[np.ndarray], ...]:
+    """`_Steps.jet` of each entry of tau, one column per coordinate."""
+    i = seg.ts[1:].searchsorted(tau, "right")
+    y, dy, ddy = _step_jet(seg.ts[i], seg.hs[i], seg.ys[i].T, np.moveaxis(seg.qs[i], 0, -1), tau)
+    lo, hi = tau <= seg.t0, tau >= seg.t1
+    y = [np.where(lo, first, np.where(hi, last, yj)) for yj, first, last in zip(y, seg.ys[0], seg.ys[-1])]
+    return y, dy, ddy
 
 
 def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tuple[float, float]:
     """Minimize g(tau) = ||x - y(tau)||^2 on [taus[j0], taus[j1]]: Newton's
-    method on the dense jet from the bracket's nearest sample, bisecting
-    whenever the step leaves the bracket or g'' <= 0, down to the tau
-    tolerance.  Returns (tau, distance) of the best point evaluated, the
-    bracket's samples (its two ends among them) included."""
-    nodes = orbit.points[j0:j1 + 1] - x
-    node_g = (nodes * nodes).sum(axis=-1)
-    k = int(np.argmin(node_g))
-    best_g, best_t = float(node_g[k]), float(orbit.taus[j0 + k])
-    a, b = orbit.taus[j0], orbit.taus[j1]
+    method on the step quartic's jet from the bracket's nearest sample,
+    bisecting whenever the step leaves the bracket or g'' <= 0, down to the
+    tau tolerance.  Returns (tau, distance) of the best point evaluated, the
+    bracket's samples (its two ends among them) included.  Runs on Python
+    floats: no array call per iterate."""
+    x = x.tolist()
+    taus = orbit.taus[j0:j1 + 1].tolist()
+    node_g = [_sq_norm([xj - pj for xj, pj in zip(x, p)]) for p in orbit.points[j0:j1 + 1].tolist()]
+    k = min(range(len(node_g)), key=node_g.__getitem__)  # the first on a tie, as argmin
+    best_g, best_t = node_g[k], taus[k]
+    a, b = taus[0], taus[-1]
     tau = best_t
     tol = _TAU_TOL_REL * max(1.0, orbit.t_star)
+    steps = orbit.steps
     for _ in range(_NEWTON_MAX_ITERS):
-        y, dy, ddy = orbit.segment.jet(tau)
-        g, slope, curv = _g_terms(x - y, dy, ddy)
+        g, slope, curv = _g_terms(x, *steps.jet(tau))
         if g < best_g:
             best_g, best_t = g, tau
         # [a, b] keeps g' < 0 at a and g' > 0 at b
@@ -289,12 +370,12 @@ def _newton_refine_many(orbit: PeriodicOrbit, xs: np.ndarray, j0: np.ndarray,
                         j1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_newton_refine` of each row of xs on its own bracket
     [taus[j0[k]], taus[j1[k]]] (at most four samples), all rows at once:
-    one batched jet per iteration serves every live row and a row stops on
-    its own, so each row repeats the scalar result bit for bit."""
+    the same float expressions on columns, one per iteration for every live
+    row, and a row stops on its own, so each row repeats the scalar result
+    bit for bit."""
     # the bracket's samples, its last one repeated in a shorter bracket
     js = np.minimum(j0[:, None] + np.arange(4), j1[:, None])
-    nodes = orbit.points[js] - xs[:, None, :]
-    node_g = (nodes * nodes).sum(axis=-1)
+    node_g = _sq_norm(np.moveaxis(xs[:, None, :] - orbit.points[js], -1, 0))
     rows = np.arange(len(xs))
     k = np.argmin(node_g, axis=1)
     best_g = node_g[rows, k]
@@ -305,8 +386,7 @@ def _newton_refine_many(orbit: PeriodicOrbit, xs: np.ndarray, j0: np.ndarray,
     for _ in range(_NEWTON_MAX_ITERS):
         if not rows.size:
             break
-        y, dy, ddy = orbit.segment.jet(tau)
-        g, slope, curv = _g_terms(xs[rows] - y, dy, ddy)
+        g, slope, curv = _g_terms(xs[rows].T, *_jet_many(orbit.segment, tau))
         better = g < best_g[rows]
         best_g[rows[better]] = g[better]
         best_t[rows[better]] = tau[better]
