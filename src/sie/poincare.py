@@ -74,7 +74,10 @@ class SurfaceChart:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.sys.n - 1,):
             raise PreconditionError("chart coordinate has the wrong dimension")
-        x = np.insert(z, self.j, self.x_ref[self.j])
+        x = np.empty(self.sys.n)
+        x[:self.j] = z[:self.j]
+        x[self.j] = self.x_ref[self.j]
+        x[self.j + 1:] = z[self.j:]
         tol = 1e-13 * max(1.0, float(np.max(np.abs(x))))
         for _ in range(60):
             hv = self.sys.eval_h(x)
