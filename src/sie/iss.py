@@ -163,9 +163,12 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
 
     Guard terminations are tallied per cell, never aborting the sweep; an
     automatic dwell floor is 1e-6 T* of the report's period.  The
-    per-trial RNG is derived from (seed, cell, trial) so results do not
-    depend on execution order.  Raw deviation series are kept only for
-    zero-input cells, which is what the decay fits need.
+    per-trial RNG is derived from (seed, offset index, trial), so results do
+    not depend on execution order, and every cell at one offset replays the
+    same start states, u phases and unit v draws, each scaled by its own
+    amplitudes: cells compare paired trials (common random numbers), not
+    independent draws.  Raw deviation series are kept only for zero-input
+    cells, which is what the decay fits need.
     """
     cfg = cfg or IntegratorConfig()
     x_star = report.x_star
@@ -174,7 +177,9 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
     t_post = sweep.transient_cutoff * t_final
     guards = replace(guards or GuardConfig(), t_star=t_star)
     cells: list[CellResult] = []
-    for cell_index, (offset, u_amp, v_amp) in enumerate(sweep.cells()):
+    grid = sweep.cells()
+    per_offset = len(grid) // len(sweep.offsets)  # cells() runs offset by offset
+    for cell_index, (offset, u_amp, v_amp) in enumerate(grid):
         trial_orb: list[float] = []
         trial_disc: list[float] = []
         peak = 0.0
@@ -182,7 +187,7 @@ def run_sweep(sys: HybridSystemDef, orbit: PeriodicOrbit, report: StabilityRepor
         series: list[TrialSeries] = []
         keep = u_amp == 0.0 and v_amp == 0.0
         for trial in range(sweep.trials):
-            tseed = _rng.derive_seed(sweep.seed, cell_index, trial)
+            tseed = _rng.derive_seed(sweep.seed, cell_index // per_offset, trial)
             rng = np.random.default_rng(tseed)
             x0 = _initial_state(orbit, sys, offset, rng)
             u, vbar = _trial_inputs(sys, sweep, u_amp, v_amp, tseed, rng)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sie.core import ContinuousSignal, DiscreteSequence
 from sie.errors import FitDegenerate, PreconditionError
 from sie.hybrid import GuardConfig, simulate
+import sie.iss as iss_mod
 from sie.iss import (CellResult, IssSweepReport, SweepConfig, TrialSeries,
                      _initial_state, _orbital_deviation, _window_sups,
                      check_equivalence, fit_decay, fit_gain, run_sweep)
@@ -93,6 +95,40 @@ class TestRunSweep:
         for ca, cb in zip(a.cells, b.cells):
             assert ca.per_trial_orbital == cb.per_trial_orbital
             assert ca.per_trial_discrete == cb.per_trial_discrete
+
+    def test_cells_at_one_offset_replay_paired_trials(self, linear_sys, linear_orbit,
+                                                      linear_report, monkeypatch):
+        # trial k of every cell at one offset starts from the same state, with
+        # the same u phase and the same unit v draws scaled by the cell's
+        # amplitudes (common random numbers); another offset draws anew
+        calls = []
+
+        def record(sysd, x0, u, vbar, t_final, guards, cfg):
+            calls.append((x0, u, vbar))
+            return SimpleNamespace(termination="escape")
+
+        monkeypatch.setattr(iss_mod, "simulate", record)
+        sweep = small_sweep(offsets=(0.03, 0.05), u_amps=(0.0, 0.05, 0.1),
+                            v_amps=(0.0, 0.01, 0.02), trials=3)
+        run_sweep(linear_sys, linear_orbit, linear_report, sweep)
+        cells = sweep.cells()
+        assert len(calls) == len(cells) * sweep.trials
+        by_cell = {cell: calls[i * sweep.trials:(i + 1) * sweep.trials]
+                   for i, cell in enumerate(cells)}
+        for offset in sweep.offsets:
+            ref = by_cell[(offset, 0.05, 0.01)]
+            for (o, ua, va), trials in by_cell.items():
+                if o != offset:
+                    continue
+                for (x0, u, vbar), (x0_ref, u_ref, v_ref) in zip(trials, ref):
+                    assert np.array_equal(x0, x0_ref)
+                    assert u.t_shift == u_ref.t_shift
+                    assert u.scale == (ua / 0.05) * u_ref.scale
+                    assert vbar.seed == v_ref.seed
+                    for k in range(4):
+                        assert np.array_equal(vbar[k], (va / 0.01) * v_ref[k])
+        low, high = by_cell[(0.03, 0.0, 0.0)], by_cell[(0.05, 0.0, 0.0)]
+        assert all(a[1].t_shift != b[1].t_shift for a, b in zip(low, high))
 
     def test_guard_tallies_zero_on_stable_cells(self, rimless_sys, rimless_orbit,
                                                 rimless_report, sweep_cfg):
