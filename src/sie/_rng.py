@@ -31,7 +31,7 @@ def uniform01(seed: int, index: int) -> float:
 
 
 def derive_seed(*parts: int) -> int:
-    """Deterministically combine integers (root seed, cell index, trial, ...)
+    """Deterministically combine integers (root seed, offset index, trial, ...)
     into a fresh 64-bit seed, independent of evaluation order."""
     acc = 0x243F6A8885A308D3  # pi fraction, arbitrary nonzero start
     for p in parts:

@@ -328,7 +328,8 @@ def _jet_many(seg: FlowSegment, tau: np.ndarray) -> tuple[list[np.ndarray], ...]
     i = seg.ts[1:].searchsorted(tau, "right")
     y, dy, ddy = _step_jet(seg.ts[i], seg.hs[i], seg.ys[i].T, np.moveaxis(seg.qs[i], 0, -1), tau)
     lo, hi = tau <= seg.t0, tau >= seg.t1
-    y = [np.where(lo, first, np.where(hi, last, yj)) for yj, first, last in zip(y, seg.ys[0], seg.ys[-1])]
+    y = [np.where(lo, first, np.where(hi, last, yj))
+         for yj, first, last in zip(y, seg.ys[0], seg.ys[-1])]
     return y, dy, ddy
 
 
@@ -341,7 +342,8 @@ def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tup
     floats: no array call per iterate."""
     x = x.tolist()
     taus = orbit.taus[j0:j1 + 1].tolist()
-    node_g = [_sq_norm([xj - pj for xj, pj in zip(x, p)]) for p in orbit.points[j0:j1 + 1].tolist()]
+    points = orbit.points[j0:j1 + 1].tolist()
+    node_g = [_sq_norm([xj - pj for xj, pj in zip(x, p)]) for p in points]
     k = min(range(len(node_g)), key=node_g.__getitem__)  # the first on a tie, as argmin
     best_g, best_t = node_g[k], taus[k]
     a, b = taus[0], taus[-1]
