@@ -429,8 +429,9 @@ def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[floa
     last = len(orbit.taus) - 2  # index of the last chord
     best = [_newton_refine(orbit, x, max(j - 1, 0), min(j + 2, last + 1))
             for j in ([i, last - i] if i in (0, last) else [i])]
-    ends = x - orbit.points[[0, -1]]
-    best += zip((0.0, orbit.t_star), np.sqrt((ends * ends).sum(axis=-1)).tolist())
+    x = x.tolist()
+    for t, p in ((0.0, orbit.points[0]), (orbit.t_star, orbit.points[-1])):
+        best.append((t, math.sqrt(_sq_norm([xj - pj for xj, pj in zip(x, p.tolist())]))))
     d = min(b[1] for b in best)
     near = sorted(t for t, dv in best if dv <= d + _TAU_SET_TOL)
     tau_set: list[float] = []
@@ -450,8 +451,9 @@ def orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
                         np.concatenate([i_chord, last - i_chord[at_end]]))
     dev = d[:len(xs)]
     dev[at_end] = np.minimum(dev[at_end], d[len(xs):])
-    ends = xs[:, None, :] - orbit.points[[0, -1]]  # dist_to_orbit's expression, per row
-    return np.minimum(dev, np.sqrt((ends * ends).sum(axis=-1)).min(axis=1))
+    for p in orbit.points[[0, -1]]:  # dist_to_orbit's expression, on columns
+        dev = np.minimum(dev, np.sqrt(_sq_norm((xs - p).T)))
+    return dev
 
 
 @dataclass(frozen=True)
