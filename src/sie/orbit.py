@@ -293,11 +293,10 @@ def _sq_norm(coords):
 
 @dataclass(frozen=True)
 class _Steps:
-    """A segment's steps as Python lists, for the scalar refine: the right
-    step ends ts[1:] that pick a step, and per step its left time, size,
-    left node and rows of Q; ys keeps the end node too."""
+    """A segment's steps as Python lists, for the scalar refine: per step
+    its left time, size, left node and rows of Q; ys keeps the end node
+    too."""
 
-    ends: list[float]
     ts: list[float]
     hs: list[float]
     ys: list[list[float]]
@@ -307,14 +306,14 @@ class _Steps:
 
     @classmethod
     def of(cls, seg: FlowSegment) -> "_Steps":
-        return cls(ends=seg.ts[1:].tolist(), ts=seg.ts.tolist(), hs=seg.hs.tolist(),
-                   ys=seg.ys.tolist(), qs=seg.qs.tolist(), t0=seg.t0, t1=seg.t1)
+        return cls(ts=seg.ts.tolist(), hs=seg.hs.tolist(), ys=seg.ys.tolist(),
+                   qs=seg.qs.tolist(), t0=seg.t0, t1=seg.t1)
 
     def jet(self, tau: float) -> tuple[list[float], list[float], list[float]]:
         """`_step_jet` of the step holding tau, as searchsorted(tau, "right")
         on ts[1:] picks it; at and beyond t0 and t1 the value is the end
         node and the derivatives are the end step's."""
-        i = bisect_right(self.ends, tau)
+        i = bisect_right(self.ts, tau, 1) - 1  # the index in ts[1:]
         y, dy, ddy = _step_jet(self.ts[i], self.hs[i], self.ys[i], self.qs[i], tau)
         if tau <= self.t0:
             y = self.ys[0]
