@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,6 +104,14 @@ class HybridSystemDef:
             if g.shape != (self.n,) or not (np.isfinite(g).all() and math.isfinite(c)):
                 raise PreconditionError("surface must be (g, c), g finite of shape (n,), c finite")
             object.__setattr__(self, "surface", (g, c))
+
+    @cached_property
+    def _surface_terms(self) -> tuple[float, list[tuple[int, float]]]:
+        """The affine surface as c and the (j, g_j) of its nonzero g_j, the
+        terms of the event scan's per-step clear; a variational system's
+        padded g keeps n of its n + n^2 entries."""
+        g, c = self.surface
+        return c, [(j, gj) for j, gj in enumerate(g.tolist()) if gj != 0.0]
 
     def eval_f(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         return _checked(self.f, "f", (self.n,), x, u_value)

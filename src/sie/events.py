@@ -88,21 +88,25 @@ def _refine_in_record(sys, ufn, record, ta, tb) -> tuple[float, np.ndarray, floa
     return t_hit, x, lfh, graze_tol, tb - ta
 
 
-def _clears_surface(surface: tuple[np.ndarray, float], record) -> bool:
+def _clears_surface(surface_terms: tuple[float, list[tuple[int, float]]], record) -> bool:
     """Whether an affine H = c + g . x stays above its rounding margin over
     the whole step, at the dense output and at the step's end state.  Along
     the step H is the quartic a0 + a1 th + .. + a4 th^4 with a0 = c + g .
     y_left and a_k = h (g . Q)_k, which lies above the least of its
     Bernstein coefficients b_i = sum over k <= i of C(i, k) / C(4, k) a_k
-    (Farin, Curves and Surfaces for CAGD).  Plain floats: for a handful of
-    coordinates they cost less than array calls."""
-    g, c = surface
+    (Farin, Curves and Surfaces for CAGD).  The sums run over the nonzero
+    g_j alone (`HybridSystemDef._surface_terms`): a zero g_j adds an exact
+    zero to each of them on a finite record, and the margin test ignores
+    the sign of zero.  Plain floats: for a handful of coordinates they cost
+    less than array calls."""
+    c, terms = surface_terms
     _t_left, h, y_left, y_right, Q = record
     a0 = a_right = c
     a1 = a2 = a3 = a4 = 0.0
     size = 1.0 + abs(c)
-    for gj, yl, yr, (q1, q2, q3, q4) in zip(g.tolist(), y_left.tolist(), y_right.tolist(),
-                                           Q.tolist()):
+    for j, gj in terms:
+        yl, yr = y_left.item(j), y_right.item(j)
+        q1, q2, q3, q4 = Q[j].tolist()
         a0 += gj * yl
         a_right += gj * yr
         a1 += gj * q1
@@ -120,7 +124,7 @@ def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, fl
     """First downward sign change of H inside one step record; a hit within
     the dwell floor of from_t, the start of the search, is skipped.  A step
     that a declared affine surface clears has none, and is not sampled."""
-    if sys.surface is not None and _clears_surface(sys.surface, record):
+    if sys.surface is not None and _clears_surface(sys._surface_terms, record):
         return None
     t_left, h, y_left, y_right, Q = record
     ts = _scan_times(t_left, t_left + h)

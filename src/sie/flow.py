@@ -38,6 +38,8 @@ _P = np.array([
     [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
+# stages 1 to 6 as (i, A_i, c_i), c_i a Python float: the same products, cheaper
+_STAGES = [(i, _A[i], float(_C[i])) for i in range(1, 7)]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -160,6 +162,9 @@ class Stepper:
         self.t = float(t0)
         self.t_end = float(t_end)
         self.y = x0.copy()
+        self._ay = np.abs(self.y)
+        self._n_sqrt = math.sqrt(self.y.size)
+        self._ones = np.ones(7 * self.y.size)
         self.ufn = u.compile()
         self._k1 = sys.eval_f(self.y, self.ufn(self.t))
         self._h = self._initial_step()
@@ -190,13 +195,19 @@ class Stepper:
         the step's end state, the last stage's argument.  f is the model's
         raw `f` or its checked `eval_f`; an output other than an array of
         the state's shape goes through np.asarray, and one of another
-        shape raises, since K[i] = out would broadcast a scalar."""
+        shape raises, since K[i] = out would broadcast a scalar.  Stage i's
+        state is y + h (A_i . K[:i]), its two roundings made in place, h
+        as a 0-d array, which an in-place product takes faster than a
+        Python float."""
         t, y, ufn, shape = self.t, self.y, self.ufn, self.y.shape
+        h_arr = np.array(h)
         K = np.empty((7, y.size))
         K[0] = self._k1
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ K[:i])
-            out = f(yi, ufn(t + _C[i] * h))
+        for i, a, c in _STAGES:
+            yi = a.dot(K[:i])
+            yi *= h_arr
+            yi += y
+            out = f(yi, ufn(t + c * h))
             if out.__class__ is not np.ndarray or out.shape != shape:
                 out = np.asarray(out, dtype=float)
                 if out.shape != shape:
@@ -205,44 +216,57 @@ class Stepper:
         return K, yi
 
     def step(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-        """Advance one accepted step; returns (t_left, h, y_left, y_right, Q)."""
+        """Advance one accepted step; returns (t_left, h, y_left, y_right, Q).
+        Every state is a fresh array that nothing writes into, so the record
+        holds y_left itself."""
         if self.done:
             raise PreconditionError("stepper already reached the end of its span")
-        n_sqrt = math.sqrt(self.y.size)
+        cfg = self.cfg
         while True:
-            if self.n_accepted + self.n_rejected >= self.cfg.max_steps:
-                raise StepLimitExceeded(self.cfg.max_steps, self.t)
-            h = min(self._h, self.cfg.max_step, self.t_end - self.t)
+            if self.n_accepted + self.n_rejected >= cfg.max_steps:
+                raise StepLimitExceeded(cfg.max_steps, self.t)
+            h = min(self._h, cfg.max_step, self.t_end - self.t)
             tiny = 10.0 * abs(math.nextafter(self.t, math.inf) - self.t)
             if h < tiny:
                 h = tiny
             try:
                 K, y_new = self._stages(h, self.sys.f)
-                ok = np.isfinite(K).all()
+                # the sum of K's entries, as one dot product with ones: any
+                # inf or NaN makes it non-finite in any order, and a sum
+                # that overflows on finite slopes only costs the checked pass
+                ok = math.isfinite(K.ravel().dot(self._ones))
             except Exception:  # noqa: BLE001 - the checked pass names the failure
                 ok = False
             if not ok:
                 # the checked evaluator raises the EvaluatorFailure of the
                 # first bad stage, as a check of every call would
                 K, y_new = self._stages(h, self.sys.eval_f)
-            scale = self.cfg.atol + self.cfg.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
-            e = (h * (_E @ K)) / scale
-            err = math.sqrt(float(e @ e)) / n_sqrt
+            # scale = atol + rtol max(|y|, |y_new|) and err = ||h (E . K) / scale|| / sqrt(n)
+            ay_new = np.abs(y_new)
+            scale = np.maximum(self._ay, ay_new)
+            scale *= cfg.rtol
+            scale += cfg.atol
+            e = _E.dot(K)
+            e *= h
+            e /= scale
+            err = math.sqrt(float(e.dot(e))) / self._n_sqrt
             if err <= 1.0:
                 t_left = self.t
-                Q = K.T @ _P
                 # snap to the span end when within rounding of it; the record
                 # keeps the true step size used to scale the interpolant
                 self.t = self.t_end if (self.t + h) >= self.t_end - tiny else self.t + h
-                record = (t_left, h, self.y.copy(), y_new, Q)
+                record = (t_left, h, self.y, y_new, K.T.dot(_P))
                 self.records.append(record)
                 self.y = y_new
+                self._ay = ay_new
                 self._k1 = K[6]
                 self.n_accepted += 1
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXPONENT)
                 self._h = h * factor
-                if not (np.abs(y_new) <= self.cfg.blowup).all():
-                    raise Blowup(self.t, float(np.max(np.abs(y_new))), _build_segment(
+                # a NaN in y_new makes scale and err NaN and rejects the step,
+                # so Python's max over an accepted one is exact
+                if not max(ay_new.tolist()) <= cfg.blowup:
+                    raise Blowup(self.t, float(ay_new.max()), _build_segment(
                         self.records, self.records[0][0], self.t, self.n_accepted, self.n_rejected))
                 return record
             self.n_rejected += 1

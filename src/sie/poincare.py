@@ -174,7 +174,7 @@ class _Variational(HybridSystemDef):
 
         def f_var(X, u):
             x = X[:n]
-            return np.concatenate((f(x, u), (jac(x, u) @ X[n:].reshape(n, n)).ravel()))
+            return np.concatenate((f(x, u), jac(x, u).dot(X[n:].reshape(n, n)).ravel()))
 
         def delta_var(X, v):
             x = X[:n]
