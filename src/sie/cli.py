@@ -246,11 +246,12 @@ def _solve(sysdef, block: dict, icfg: IntegratorConfig):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of numbers, one per header column, each written as `_fmt`
+    writes it: an integral value as an integer, whether int or float."""
+    line = ",".join(["{:.17g}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                              for v in row) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -294,9 +295,8 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     for si, seg in enumerate(traj.segments):
         ts = _sample_times(seg.t0, seg.t1, sample_dt)
         xs = seg.eval_many(ts)
-        dists = nearest_chords(chords, xs)[1] if chords is not None else None
-        for j, (t, x) in enumerate(zip(ts, xs)):
-            rows.append([t, *x, *([dists[j]] if dists is not None else []), si])
+        dists = [nearest_chords(chords, xs)[1]] if chords is not None else []
+        rows += np.column_stack([ts, xs, *dists, np.full(len(ts), si)]).tolist()
     _write_csv(out / "trajectory.csv", header, rows)
 
     iheader = (["k", "t_k"] + [f"x_minus_{i + 1}" for i in range(sysdef.n)]
@@ -339,8 +339,7 @@ def _cmd_orbit(cfg: dict, out: Path) -> int:
     _write_json(out / "orbit_report.json", {**fields, "orbit_diameter": orb.diameter,
                                              "orbit_samples": len(orb.taus), "seed": cfg["seed"]})
     header = ["tau"] + [f"x_{i + 1}" for i in range(sysdef.n)]
-    rows = [[tau, *pt] for tau, pt in zip(orb.taus, orb.points)]
-    _write_csv(out / "orbit_samples.csv", header, rows)
+    _write_csv(out / "orbit_samples.csv", header, np.column_stack([orb.taus, orb.points]).tolist())
     print(f"{report.verdict}: spectral_radius={_fmt(report.spectral_radius)}")
     return _EXIT_OK
 
