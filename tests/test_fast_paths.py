@@ -118,8 +118,9 @@ def test_list_output_is_accepted_bit_for_bit():
 
 
 class _ReferenceStepper(Stepper):
-    """The stepper with the former `_stages` and `step`, verbatim: every
-    product through `@` on fresh temporaries, the record's y_left copied."""
+    """The stepper with the former `_stages` and `step`, verbatim but for
+    their comments: every product through `@` on fresh temporaries, the
+    record's y_left copied."""
 
     def _stages(self, h: float, f) -> tuple[np.ndarray, np.ndarray]:
         t, y, ufn, shape = self.t, self.y, self.ufn, self.y.shape
