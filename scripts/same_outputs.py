@@ -18,7 +18,7 @@ rounds; without any, each workload runs seed 1, round 0.  The script:
 - compares the exit codes and every output file byte for byte, except the
   `timestamp` of `meta.json`.  For a file that differs it names the first
   differing row and column (CSV) or key (JSON) and the largest relative
-  move of any number in the file;
+  and the largest absolute move of any number in the file;
 - compares each workload's traced counts: the `# counts` line of each
   tree's `bench/run.py --trace 1` at the workload's first seed.
 
@@ -123,12 +123,24 @@ def run_tree(tree: Path, jobs: list[tuple], out: Path, trace: list[tuple[str, in
     return {"exits": exits, "counts": counts}
 
 
-def rel_move(a: float, b: float) -> float:
+def moves(a: float, b: float) -> tuple[float, float]:
+    """The relative and the absolute move from a to b."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
+        return 0.0, 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
+
+
+def largest(pairs) -> tuple[float, float]:
+    """The largest relative and the largest absolute move among pairs."""
+    pairs = list(pairs)
+    return max((r for r, _ in pairs), default=0.0), max((d for _, d in pairs), default=0.0)
+
+
+def summary(first: str, move: tuple[float, float]) -> str:
+    return (f"first difference at {first}; largest relative move {move[0]:.3g}, "
+            f"largest absolute move {move[1]:.3g}")
 
 
 def number(text: str) -> float | None:
@@ -141,7 +153,7 @@ def number(text: str) -> float | None:
 def compare_csv(a: str, b: str) -> str:
     rows_a, rows_b = a.splitlines(), b.splitlines()
     first = None
-    largest = 0.0
+    pairs = []
     for k, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         if ra == rb:
             continue
@@ -155,28 +167,28 @@ def compare_csv(a: str, b: str) -> str:
         for x, y in zip(cells_a, cells_b):
             nx, ny = number(x), number(y)
             if nx is not None and ny is not None:
-                largest = max(largest, rel_move(nx, ny))
+                pairs.append(moves(nx, ny))
     if len(rows_a) != len(rows_b):
         first = first or f"row {min(len(rows_a), len(rows_b))}: present on one side only"
         first += f"; {len(rows_a)} rows vs {len(rows_b)}"
-    return f"first difference at {first}; largest relative move {largest:.3g}"
+    return summary(first, largest(pairs))
 
 
-def json_diffs(a, b, where: str, found: list[str]) -> float:
+def json_diffs(a, b, where: str, found: list[str]) -> tuple[float, float]:
     """Appends the key paths that differ to found; returns the largest
-    relative move of a number between the two."""
+    relative and the largest absolute move of a number between the two."""
     if isinstance(a, dict) and isinstance(b, dict):
-        moves = [json_diffs(a[k], b[k], f"{where}.{k}", found) for k in sorted(a.keys() & b.keys())]
+        move = largest([json_diffs(a[k], b[k], f"{where}.{k}", found)
+                        for k in sorted(a.keys() & b.keys())])
         found += [f"{where}.{k} (one side only)" for k in sorted(a.keys() ^ b.keys())]
-        return max(moves, default=0.0)
+        return move
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return max((json_diffs(x, y, f"{where}[{i}]", found) for i, (x, y) in enumerate(zip(a, b))),
-                   default=0.0)
+        return largest(json_diffs(x, y, f"{where}[{i}]", found) for i, (x, y) in enumerate(zip(a, b)))
     numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
     if type(a) is not type(b) or a != b:
         found.append(f"{where}: {a!r} vs {b!r}"[:300])
-        return rel_move(float(a), float(b)) if numeric else 0.0
-    return 0.0
+        return moves(float(a), float(b)) if numeric else (0.0, 0.0)
+    return 0.0, 0.0
 
 
 def compare_file(name: str, a: bytes, b: bytes) -> str | None:
@@ -188,9 +200,8 @@ def compare_file(name: str, a: bytes, b: bytes) -> str | None:
         return compare_csv(a.decode(), b.decode())
     if name.endswith(".json"):
         found: list[str] = []
-        largest = json_diffs(json.loads(a), json.loads(b), name, found)
-        first = found[0] if found else "byte layout"
-        return f"first difference at {first}; largest relative move {largest:.3g}"
+        move = json_diffs(json.loads(a), json.loads(b), name, found)
+        return summary(found[0] if found else "byte layout", move)
     return "bytes differ"
 
 

@@ -33,7 +33,7 @@ from .flow import IntegratorConfig
 from .hybrid import GuardConfig, simulate
 from .iss import TALLIED_OUTCOMES, SweepConfig, check_equivalence, fit_gain, run_sweep
 from .models import model
-from .orbit import Chords, UpperBoundViolation, build_orbit, certify_prop1, nearest_chords
+from .orbit import UpperBoundViolation, build_orbit, certify_prop1
 from .poincare import find_fixed_point, linearize
 
 _EXIT_OK = 0
@@ -131,17 +131,6 @@ def _params(v) -> dict:
     return {key: _coerce(f".{key}", _real, x) for key, x in _typed(dict, "an object")(v).items()}
 
 
-def _orbit_samples(path) -> np.ndarray:
-    """The points of an `orbit_samples.csv` written by `orbit`."""
-    try:
-        data = np.atleast_2d(np.loadtxt(_typed(str, "a path")(path), delimiter=",", skiprows=1))
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    if len(data) < 2 or not np.isfinite(data).all():
-        raise ValueError(f"{path}: orbit_samples needs at least two finite samples")
-    return data[:, 1:]
-
-
 def _spec(kinds: dict):
     """Coerce {"kind": k, ...} into (k, coerced arguments of kind k)."""
     def spec(v):
@@ -182,8 +171,8 @@ _BLOCKS = {
                     "max_steps": _int, "blowup": lambda v: _real(v, finite=False)}, ()),
     "guards": ({"k_max": _int, "min_dwell": lambda v: None if v is None else _real(v)}, ()),
     "simulate": ({"x0": _point, "t_final": _real, "input": _spec(_SIGNALS),
-                  "impulses": _spec(_SEQUENCES), "sample_dt": lambda v: _real(v, positive=True),
-                  "orbit_samples": _orbit_samples}, {"x0", "t_final"}),
+                  "impulses": _spec(_SEQUENCES), "sample_dt": lambda v: _real(v, positive=True)},
+                 {"x0", "t_final"}),
     "orbit": (_SOLVE, {"guess"}),
     "certify_prop1": ({**_SOLVE, "samples": _int, "radii": _reals,
                        "far_field": _typed(bool, "true or false")}, {"guess", "samples"}),
@@ -281,22 +270,15 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
               "simulate.input")
     vbar = _make(DiscreteSequence, block.get("impulses", ("zero", {})), sysdef.q, cfg["seed"],
                  "simulate.impulses")
-    samples = block.get("orbit_samples")
-    if samples is not None and samples.shape[1] != sysdef.n:
-        raise ConfigError(f"simulate.orbit_samples: points of dimension {samples.shape[1]}")
     traj = simulate(sysdef, block["x0"], u, vbar, block["t_final"], GuardConfig(**_block(cfg, "guards")),
                     IntegratorConfig(**_block(cfg, "integrator")))
-    chords = Chords.of(samples) if samples is not None else None
 
     sample_dt = block.get("sample_dt", block["t_final"] / 1000.0)
-    header = (["t"] + [f"x_{i + 1}" for i in range(sysdef.n)]
-              + (["dist_to_orbit"] if chords is not None else []) + ["segment_index"])
+    header = ["t"] + [f"x_{i + 1}" for i in range(sysdef.n)] + ["segment_index"]
     rows = []
     for si, seg in enumerate(traj.segments):
         ts = _sample_times(seg.t0, seg.t1, sample_dt)
-        xs = seg.eval_many(ts)
-        dists = [nearest_chords(chords, xs)[1]] if chords is not None else []
-        rows += np.column_stack([ts, xs, *dists, np.full(len(ts), si)]).tolist()
+        rows += np.column_stack([ts, seg.eval_many(ts), np.full(len(ts), si)]).tolist()
     _write_csv(out / "trajectory.csv", header, rows)
 
     iheader = (["k", "t_k"] + [f"x_minus_{i + 1}" for i in range(sysdef.n)]

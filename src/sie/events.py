@@ -16,10 +16,13 @@ import numpy as np
 
 from .core import ContinuousSignal, HybridSystemDef, surface_tol
 from .errors import EvaluatorFailure, GrazeDetected, ResetNotInSPlus
-from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment, _quartic
+from .flow import FlowSegment, IntegratorConfig, Stepper, _build_segment, _dense
 
 _SAMPLES_PER_STEP = 12
-_SCAN_STEPS = np.arange(_SAMPLES_PER_STEP, dtype=float)
+# the scan's step fractions k/11 and the powers [th, th^2, th^3, th^4] of
+# each, one row per sample
+_SCAN_TH = np.arange(_SAMPLES_PER_STEP) / (_SAMPLES_PER_STEP - 1)
+_SCAN_BASIS = np.column_stack([_SCAN_TH, _SCAN_TH**2, _SCAN_TH**3, _SCAN_TH**4])
 _BISECT_REL_WIDTH = 1e-13
 _GRAZE_REL = 1e-8
 
@@ -55,35 +58,28 @@ def _transversality(sys: HybridSystemDef, x: np.ndarray, u_value: np.ndarray) ->
     return float(np.dot(gv, fv)), graze_tol
 
 
-def _scan_times(t_lo: float, t_hi: float) -> np.ndarray:
-    """np.linspace(t_lo, t_hi, _SAMPLES_PER_STEP), with the same arithmetic
-    but without its call overhead."""
-    ts = _SCAN_STEPS * ((t_hi - t_lo) / (_SAMPLES_PER_STEP - 1)) + t_lo
-    ts[-1] = t_hi
-    return ts
-
-
 def _refine_in_record(sys, ufn, record, ta, tb) -> tuple[float, np.ndarray, float, float, float]:
     """Bisect H to a relative width floor inside one dense record, then apply
     a single Newton polish with the flow derivative; returns
     (t_hit, x_minus, lfh, graze_tol, width), lfh and graze_tol those of
     `_transversality` at x_minus."""
     t_left, h, y_left, _y_right, Q = record
+    y0, q = y_left.tolist(), Q.tolist()
     width_tol = _BISECT_REL_WIDTH * max(1.0, abs(tb))
     while (tb - ta) > width_tol:
         tm = 0.5 * (ta + tb)
-        if sys.eval_h(_quartic(t_left, h, y_left, Q, tm)) > 0.0:
+        if sys.eval_h(np.array(_dense(t_left, h, y0, q, tm))) > 0.0:
             ta = tm
         else:
             tb = tm
     t_hit = 0.5 * (ta + tb)
-    x = _quartic(t_left, h, y_left, Q, t_hit)
+    x = np.array(_dense(t_left, h, y0, q, t_hit))
     lfh, graze_tol = _transversality(sys, x, ufn(t_hit))
     if lfh != 0.0:
         t_polish = t_hit - sys.eval_h(x) / lfh
         if t_left <= t_polish <= t_left + h:
             t_hit = t_polish
-            x = _quartic(t_left, h, y_left, Q, t_hit)
+            x = np.array(_dense(t_left, h, y0, q, t_hit))
             lfh, graze_tol = _transversality(sys, x, ufn(t_hit))
     return t_hit, x, lfh, graze_tol, tb - ta
 
@@ -127,13 +123,24 @@ def _scan_record(sys, ufn, record, from_t: float) -> tuple[float, np.ndarray, fl
     if sys.surface is not None and _clears_surface(sys._surface_terms, record):
         return None
     t_left, h, y_left, y_right, Q = record
-    ts = _scan_times(t_left, t_left + h)
-    xs = _quartic(t_left, h, y_left, Q, ts)
+    # only H's signs are read from the samples, so one product with the
+    # constant basis makes them; the bracket ends are the sample times
+    ts = (t_left + h * _SCAN_TH).tolist()
+    xs = _SCAN_BASIS.dot(Q.T)
+    xs *= h
+    xs += y_left
     # the step's own end state, from which the next step starts: the dense
     # value at the step end can round to the other side of H = 0, and then
     # neither step brackets a crossing that sits on the node
     xs[-1] = y_right
-    hs = [sys.eval_h(x) for x in xs]
+    try:
+        hs = [sys.eval_h(x) for x in xs]
+    except EvaluatorFailure as exc:
+        # finite slopes whose dense matrix Q overflows make the samples NaN:
+        # the failure is f's, not H's
+        if np.isfinite(Q).all():
+            raise
+        raise EvaluatorFailure("f", y_left, "the step's dense output overflows") from exc
     dwell_floor = 1e-11 * max(1.0, abs(from_t))
     for i in range(len(ts) - 1):
         if hs[i] > 0.0 and hs[i + 1] <= 0.0:

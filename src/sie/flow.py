@@ -10,7 +10,9 @@ the solver integrates the frozen-signal vector field (t, x) -> f(x, u(t)).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,17 +92,10 @@ class FlowSegment:
     def n(self) -> int:
         return self.ys.shape[1]
 
-    def _jet(self, t):
-        """`_quartic` jet of the step holding each time; the values at and
-        beyond the segment's ends are its end nodes exactly.  `eval` and
-        `eval_many` read the values alone; they keep the three-row product,
-        whose rounding a one-row product need not repeat, so orbit samples
-        and trajectory rows keep their bits."""
-        i = self.ts[1:].searchsorted(t, "right")  # 0 before the first node
-        y, dy, ddy = _quartic(self.ts[i], self.hs[i], self.ys[i], self.qs[i], t, jet=True)
-        y[t <= self.t0] = self.ys[0]
-        y[t >= self.t1] = self.ys[-1]
-        return y, dy, ddy
+    @cached_property
+    def _lists(self) -> tuple[list, list, list, list]:
+        """ts, hs, ys and qs as Python lists, for the float readers."""
+        return self.ts.tolist(), self.hs.tolist(), self.ys.tolist(), self.qs.tolist()
 
     def _check_span(self, t) -> None:
         lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
@@ -108,40 +103,75 @@ class FlowSegment:
                 and hi <= self.t1 + 1e-12 * max(1.0, abs(self.t1))):
             raise PreconditionError(f"t={t!r} outside segment [{self.t0!r}, {self.t1!r}]")
 
+    def _jet(self, t: float) -> tuple[list[float], list[float], list[float]]:
+        """`_dense_jet` of the step holding t, as searchsorted(t, "right") on
+        ts[1:] picks it, on Python floats; at and beyond t0 and t1 the value
+        is the end node and the derivatives are the end step's."""
+        ts, hs, ys, qs = self._lists
+        i = bisect_right(ts, t, 1) - 1  # the index in ts[1:]
+        y, dy, ddy = _dense_jet(ts[i], hs[i], ys[i], qs[i], t)
+        if t <= self.t0:
+            y = ys[0]
+        elif t >= self.t1:
+            y = ys[-1]
+        return y, dy, ddy
+
+    def _jet_many(self, t: np.ndarray) -> tuple[list[np.ndarray], ...]:
+        """`_jet` of each entry of t, one column per coordinate."""
+        i = self.ts[1:].searchsorted(t, "right")
+        y, dy, ddy = _dense_jet(self.ts[i], self.hs[i], self.ys[i].T,
+                                np.moveaxis(self.qs[i], 0, -1), t)
+        lo, hi = t <= self.t0, t >= self.t1
+        y = [np.where(lo, first, np.where(hi, last, yj))
+             for yj, first, last in zip(y, self.ys[0], self.ys[-1])]
+        return y, dy, ddy
+
     def eval(self, t: float) -> np.ndarray:
         self._check_span(t)
-        return self._jet(t)[0]
+        return np.array(self._jet(t)[0])
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """`eval` of a batch of times, one row each, without the span check:
         times outside [t0, t1] return the end states."""
-        return self._jet(np.asarray(ts, dtype=float))[0]
+        t = np.asarray(ts, dtype=float)
+        i = self.ts[1:].searchsorted(t, "right")
+        # the (times, n) block as one coordinate of `_dense`
+        [y] = _dense(self.ts[i][:, None], self.hs[i][:, None], [self.ys[i]],
+                     [np.moveaxis(self.qs[i], -1, 0)], t[:, None])
+        y[t <= self.t0] = self.ys[0]
+        y[t >= self.t1] = self.ys[-1]
+        return y
 
 
-def _quartic(t0, h, y0, q, t, jet: bool = False):
-    """Dense output of the step that starts at (t0, y0) with size h and
-    coefficient matrix q: y0 + h q [th, th^2, th^3, th^4] at th = (t - t0)/h,
-    with jet also its first two t-derivatives.  One step at one time or
-    many (t an array), or one time per step (every argument an array with
-    one row per step); a row of the second form is bit for bit the first
-    form at that one time."""
-    th = (t - t0) / h
+def _dense(t, h, y0, q, tau) -> list:
+    """The Dormand-Prince step quartic y0 + h Q [th, th^2, th^3, th^4] at
+    th = (tau - t)/h of the step from (t, y0) of size h, one entry per
+    entry of y0 and its Q row in q, each sum in Q's column order.  Only
+    + - * /, so Python floats, NumPy columns (one step per row) and blocks
+    of coordinates as one entry get the same bits.  Every dense state that
+    is returned, recorded or written comes from here."""
+    th = (tau - t) / h
     t2 = th * th
     t3 = t2 * th
-    # row l of the basis, times q, is the l-th t-derivative of y - y0
-    # times h^(l - 1)
-    rows = [[th, t2, t3, t2 * t2]]
-    if jet:
-        one = th ** 0  # shaped like th
-        rows += [[one, 2.0 * th, 3.0 * t2, 4.0 * t3], [0.0 * th, 2.0 * one, 6.0 * th, 12.0 * t2]]
-    basis = np.array(rows).T.swapaxes(-1, -2)  # (..., rows, 4)
-    if q.ndim == 2:  # one step: one product for all its times
-        d = np.dot(basis, q.T)
-    else:
-        d = basis @ np.swapaxes(q, -1, -2)
-        h = h[:, None]
-    y = y0 + h * d[..., 0, :]
-    return (y, d[..., 1, :], d[..., 2, :] / h) if jet else y
+    t4 = t2 * t2
+    return [y0j + h * (q0 * th + q1 * t2 + q2 * t3 + q3 * t4)
+            for y0j, (q0, q1, q2, q3) in zip(y0, q)]
+
+
+def _dense_jet(t, h, y0, q, tau) -> tuple[list, list, list]:
+    """`_dense`, by the same expression, with its first two
+    tau-derivatives."""
+    th = (tau - t) / h
+    t2 = th * th
+    t3 = t2 * th
+    t4 = t2 * t2
+    th2, t2_3, t3_4, th6, t2_12 = 2.0 * th, 3.0 * t2, 4.0 * t3, 6.0 * th, 12.0 * t2
+    y, dy, ddy = [], [], []
+    for y0j, (q0, q1, q2, q3) in zip(y0, q):
+        y.append(y0j + h * (q0 * th + q1 * t2 + q2 * t3 + q3 * t4))
+        dy.append(q0 + q1 * th2 + q2 * t2_3 + q3 * t3_4)
+        ddy.append((2.0 * q1 + q2 * th6 + q3 * t2_12) / h)
+    return y, dy, ddy
 
 
 class Stepper:

@@ -10,7 +10,6 @@ the equivalent backward indexing is tau -> T* - tau.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,10 +60,6 @@ class PeriodicOrbit:
     @cached_property
     def chords(self) -> Chords:
         return Chords.of(self.points)
-
-    @cached_property
-    def steps(self) -> _Steps:
-        return _Steps.of(self.segment)
 
 
 @dataclass(frozen=True)
@@ -250,26 +245,6 @@ def build_orbit(sys: HybridSystemDef, report: StabilityReport) -> PeriodicOrbit:
                          diameter=diameter, ds_max=ds_max)
 
 
-def _step_jet(t, h, y0, q, tau):
-    """y, y' and y'' at tau of the Dormand-Prince step quartic
-    y0 + h Q [th, th^2, th^3, th^4], th = (tau - t)/h, one coordinate at a
-    time: y0 holds the step's left node and q its rows of Q, and each sum
-    runs in the order of Q's columns.  Written with + - * / alone, so the
-    same expressions serve Python floats (one tau) and NumPy columns (one
-    tau and one step per row) and agree bit for bit."""
-    th = (tau - t) / h
-    t2 = th * th
-    t3 = t2 * th
-    t4 = t2 * t2
-    th2, t2_3, t3_4, th6, t2_12 = 2.0 * th, 3.0 * t2, 4.0 * t3, 6.0 * th, 12.0 * t2
-    y, dy, ddy = [], [], []
-    for y0j, (q0, q1, q2, q3) in zip(y0, q):
-        y.append(y0j + h * (q0 * th + q1 * t2 + q2 * t3 + q3 * t4))
-        dy.append(q0 + q1 * th2 + q2 * t2_3 + q3 * t3_4)
-        ddy.append((2.0 * q1 + q2 * th6 + q3 * t2_12) / h)
-    return y, dy, ddy
-
-
 def _g_terms(x, y, dy, ddy):
     """g = ||r||^2 and half of g' and g'' for r = x - y(tau), summed one
     coordinate at a time in coordinate order, for floats or columns."""
@@ -291,47 +266,6 @@ def _sq_norm(coords):
     return out
 
 
-@dataclass(frozen=True)
-class _Steps:
-    """A segment's steps as Python lists, for the scalar refine: per step
-    its left time, size, left node and rows of Q; ys keeps the end node
-    too."""
-
-    ts: list[float]
-    hs: list[float]
-    ys: list[list[float]]
-    qs: list[list[list[float]]]
-    t0: float
-    t1: float
-
-    @classmethod
-    def of(cls, seg: FlowSegment) -> "_Steps":
-        return cls(ts=seg.ts.tolist(), hs=seg.hs.tolist(), ys=seg.ys.tolist(),
-                   qs=seg.qs.tolist(), t0=seg.t0, t1=seg.t1)
-
-    def jet(self, tau: float) -> tuple[list[float], list[float], list[float]]:
-        """`_step_jet` of the step holding tau, as searchsorted(tau, "right")
-        on ts[1:] picks it; at and beyond t0 and t1 the value is the end
-        node and the derivatives are the end step's."""
-        i = bisect_right(self.ts, tau, 1) - 1  # the index in ts[1:]
-        y, dy, ddy = _step_jet(self.ts[i], self.hs[i], self.ys[i], self.qs[i], tau)
-        if tau <= self.t0:
-            y = self.ys[0]
-        elif tau >= self.t1:
-            y = self.ys[-1]
-        return y, dy, ddy
-
-
-def _jet_many(seg: FlowSegment, tau: np.ndarray) -> tuple[list[np.ndarray], ...]:
-    """`_Steps.jet` of each entry of tau, one column per coordinate."""
-    i = seg.ts[1:].searchsorted(tau, "right")
-    y, dy, ddy = _step_jet(seg.ts[i], seg.hs[i], seg.ys[i].T, np.moveaxis(seg.qs[i], 0, -1), tau)
-    lo, hi = tau <= seg.t0, tau >= seg.t1
-    y = [np.where(lo, first, np.where(hi, last, yj))
-         for yj, first, last in zip(y, seg.ys[0], seg.ys[-1])]
-    return y, dy, ddy
-
-
 def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tuple[float, float]:
     """Minimize g(tau) = ||x - y(tau)||^2 on [taus[j0], taus[j1]]: Newton's
     method on the step quartic's jet from the bracket's nearest sample,
@@ -348,9 +282,9 @@ def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tup
     a, b = taus[0], taus[-1]
     tau = best_t
     tol = _TAU_TOL_REL * max(1.0, orbit.t_star)
-    steps = orbit.steps
+    jet = orbit.segment._jet
     for _ in range(_NEWTON_MAX_ITERS):
-        g, slope, curv = _g_terms(x, *steps.jet(tau))
+        g, slope, curv = _g_terms(x, *jet(tau))
         if g < best_g:
             best_g, best_t = g, tau
         # [a, b] keeps g' < 0 at a and g' > 0 at b
@@ -387,7 +321,7 @@ def _newton_refine_many(orbit: PeriodicOrbit, xs: np.ndarray, j0: np.ndarray,
     for _ in range(_NEWTON_MAX_ITERS):
         if not rows.size:
             break
-        g, slope, curv = _g_terms(xs[rows].T, *_jet_many(orbit.segment, tau))
+        g, slope, curv = _g_terms(xs[rows].T, *orbit.segment._jet_many(tau))
         better = g < best_g[rows]
         best_g[rows[better]] = g[better]
         best_t[rows[better]] = tau[better]

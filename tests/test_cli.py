@@ -95,37 +95,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out_b), "--seed", "2"]) == 0
         assert (out_a / "impacts.csv").read_bytes() != (out_b / "impacts.csv").read_bytes()
 
-    def test_dist_column_with_orbit_samples(self, tmp_path):
-        orbit_cfg = write_config(tmp_path, {
-            "model": {"name": "linear-reset", "params": {}},
-            "orbit": {"guess": [1.0, 0.5], "t_cap": 10.0},
-        }, name="orbit.json")
-        orbit_out = tmp_path / "orbit_out"
-        assert main(["orbit", "--config", orbit_cfg, "--out", str(orbit_out)]) == 0
-        payload = linear_simulate_config(orbit_samples=str(orbit_out / "orbit_samples.csv"))
-        cfg = write_config(tmp_path, payload)
-        out = tmp_path / "sim_out"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        lines = (out / "trajectory.csv").read_text().strip().splitlines()
-        assert lines[0] == "t,x_1,x_2,dist_to_orbit,segment_index"
-        # x2 starts at 0.3, so the first sample sits 0.3 off the orbit
-        first = lines[1].split(",")
-        assert float(first[3]) == pytest.approx(0.3, abs=1e-6)
-
-    def test_dist_column_repeated_and_too_few_samples(self, tmp_path):
-        # a repeated sample is a zero-length chord; one sample is no polyline
-        samples = tmp_path / "samples.csv"
-        samples.write_text("tau,x_1,x_2\n0,0,0\n0.5,0.5,0\n0.5,0.5,0\n1,1,0\n")
-        cfg = write_config(tmp_path, linear_simulate_config(orbit_samples=str(samples)))
-        out = tmp_path / "sim_out"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        rows = [line.split(",") for line in
-                (out / "trajectory.csv").read_text().strip().splitlines()[1:]]
-        assert all(math.isfinite(float(r[3])) for r in rows)
-        assert float(rows[0][3]) == pytest.approx(0.3, abs=1e-12)
-        samples.write_text("tau,x_1,x_2\n0,0,0\n")
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
-
 
 class TestUsageErrors:
     """Usage errors exit 1, the config-error code, never argparse's 2, which

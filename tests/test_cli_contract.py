@@ -143,8 +143,8 @@ PROBES = {
                                  | {"guards": {"k_max": 0, "bogus": 1}}),
     "t_final-string": ("simulate", _set("simulate", ("simulate", "t_final"), "x")),
     "sample_dt-zero": ("simulate", _set("simulate", ("simulate", "sample_dt"), 0)),
-    "orbit_samples-missing": ("simulate", _set("simulate", ("simulate", "orbit_samples"),
-                                               "no-such-orbit-samples.csv")),
+    "orbit_samples-unknown-key": ("simulate", _set("simulate", ("simulate", "orbit_samples"),
+                                                   "orbit_samples.csv")),
     "constant-scalar-value": ("simulate", _set("simulate", ("simulate", "input"),
                                                {"kind": "constant", "value": 1.0})),
     "composite-parts-int": ("simulate", _set("simulate", ("simulate", "input", "parts"), 3)),
@@ -175,6 +175,7 @@ def test_probe_config_exits_one_with_a_message(name):
     ("max_steps-zero", "error: max_steps must be at least 1"),
     ("blowup-negative", "error: max_step and blowup must be positive"),
     ("validate-probes-empty", "error: validate_system needs at least one probe state"),
+    ("orbit_samples-unknown-key", "config error: simulate: unknown keys ['orbit_samples']"),
 ])
 def test_config_mistake_is_named_not_run(name, message):
     assert run(*PROBES[name]) == (1, message + "\n")

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
 from sie.errors import (EvaluatorFailure, GrazeDetected, InfiniteTimeToImpact, PreconditionError,
                         ResetNotInSPlus)
-from sie.events import (_SAMPLES_PER_STEP, _refine_in_record, _scan_record, _scan_times,
+import sie.events as events_mod
+from sie.events import (_SAMPLES_PER_STEP, _SCAN_BASIS, _refine_in_record, _scan_record,
                         first_crossing)
-from sie.flow import IntegratorConfig, Stepper, _quartic, integrate
+from sie.flow import IntegratorConfig, Stepper, _dense, integrate
 from sie.hybrid import simulate
 from sie.poincare import poincare_map
 from sie import models
@@ -102,11 +103,11 @@ class TestLocateCrossing:
 
 
 def _per_sample_scan(sys, ufn, record, from_t):
-    """Reference scan: np.linspace sample times and one scalar `_quartic`
-    per sample.  Returns (times, states, H values, hit)."""
+    """Reference scan: one float `_dense` per sample, at the step fractions
+    k/11.  Returns (times, states, H values, hit)."""
     t_left, h, y_left, _y_right, Q = record
-    ts = np.linspace(t_left, t_left + h, _SAMPLES_PER_STEP)
-    xs = np.array([_quartic(t_left, h, y_left, Q, t) for t in ts])
+    ts = [t_left + h * (k / (_SAMPLES_PER_STEP - 1)) for k in range(_SAMPLES_PER_STEP)]
+    xs = np.array([_dense(t_left, h, y_left.tolist(), Q.tolist(), t) for t in ts])
     hs = [sys.eval_h(x) for x in xs]
     dwell_floor = 1e-11 * max(1.0, abs(from_t))
     for i in range(len(ts) - 1):
@@ -143,14 +144,19 @@ def test_batched_scan_matches_per_sample_scan(name):
         # what first_crossing passes
         for from_t in (t_left, 0.0):
             ts_ref, xs_ref, hs_ref, hit_ref = _per_sample_scan(sys, ufn, record, from_t)
-            ts = _scan_times(t_left, t_left + h)
-            xs = _quartic(t_left, h, record[2], record[4], ts)
-            assert np.array_equal(ts, ts_ref)
-            scale = max(1.0, float(np.max(np.abs(xs_ref))))
-            assert np.max(np.abs(xs - xs_ref)) <= 1e-15 * scale
+            # the scan's samples, one product with the constant basis, sum
+            # in another order than the expression, whose th carries the
+            # rounding of its sample time: a few ulps of the terms and of
+            # the slope times the time's ulp
+            xs = _SCAN_BASIS.dot(record[4].T) * h + record[2]
+            q_size = np.abs(record[4]).sum(axis=1)
+            bound = 4.0 * (np.spacing(np.abs(record[2]) + h * q_size)
+                           + q_size * np.spacing(abs(t_left) + h))
+            assert np.all(np.abs(xs - xs_ref) <= bound)
             # the scan's last sample is the step's end state, which the dense
             # value at the step end matches only to rounding of its 7-stage sum
             xs[-1] = record[3]
+            scale = max(1.0, float(np.max(np.abs(xs_ref))))
             assert np.max(np.abs(xs[-1] - xs_ref[-1])) <= 1e-14 * scale
             signs = [sys.eval_h(x) > 0.0 for x in xs]
             assert signs == [hv > 0.0 for hv in hs_ref]
@@ -183,12 +189,50 @@ def test_crossing_evaluates_the_surface_gradient_once_per_state():
 
 
 @settings(max_examples=200, deadline=None)
-@given(t_lo=st.floats(-1e6, 1e6), span=st.floats(1e-12, 1e4))
-def test_scan_times_equal_linspace(t_lo, span):
-    t_hi = t_lo + span
-    if t_hi > t_lo:
-        assert np.array_equal(_scan_times(t_lo, t_hi),
-                              np.linspace(t_lo, t_hi, _SAMPLES_PER_STEP))
+@given(t_left=st.floats(-1e5, 1e5), h=st.floats(1e-3, 1e3), last=st.booleans())
+def test_scan_bracket_ends_are_the_step_ends(t_left, h, last):
+    # x(t) = 1 - (t - t_left) on one step and H = x - c, crossing at the
+    # fraction 0.05 or 0.95 of it: the first bracket starts at t_left and
+    # the last ends at t_left + h, exactly
+    c = 1.0 - (0.95 if last else 0.05) * h
+    sysd = HybridSystemDef(n=1, p=1, q=1, f=lambda x, u: -np.ones(1), delta=lambda x, v: x,
+                           h=lambda x: float(x[0]) - c)
+    record = (t_left, h, np.ones(1), np.array([1.0 - h]), np.array([[-1.0, 0.0, 0.0, 0.0]]))
+    brackets = []
+
+    def refine(sys, ufn, rec, ta, tb):
+        brackets.append((ta, tb))
+        return _refine_in_record(sys, ufn, rec, ta, tb)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_mod, "_refine_in_record", refine)
+        assert _scan_record(sysd, U0.compile(), record, t_left - 1.0) is not None
+    [(ta, tb)] = brackets
+    assert (tb == t_left + h) if last else (ta == t_left)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_x_minus_is_the_dense_expression_on_its_record(name):
+    sys, x0, t_end = SCAN_CASES[name]
+    search = first_crossing(sys, np.array(x0), U0, 0.0, t_end, CFG)
+    seg, ev = search.segment, search.event
+    # the crossing's record is the segment's last step; its right node is x_minus
+    want = _dense(seg.ts[-1], seg.hs[-1], seg.ys[-2].tolist(), seg.qs[-1].tolist(), ev.t_hit)
+    assert ev.x_minus.tolist() == want
+    assert np.array_equal(seg.eval(ev.t_hit), ev.x_minus)
+
+
+@pytest.mark.parametrize("declared", ["surface", "h"])
+def test_overflowing_dense_output_is_a_failure_of_f(declared):
+    # slopes of 1e308 are finite but the dense matrix Q overflows, so the
+    # scan's samples are NaN and H fails on them: the failure is f's
+    surface = {"surface": ([-1.0], 5.0)} if declared == "surface" else {"h": lambda x: 5.0 - x[0]}
+    sysd = HybridSystemDef(n=1, p=1, q=1, f=lambda x, u: np.array([1e308]),
+                           delta=lambda x, v: x, **surface)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluatorFailure) as err:
+        first_crossing(sysd, np.zeros(1), U0, 0.0, 1.0, IntegratorConfig(max_steps=30))
+    assert err.value.which == "f"
+    assert np.array_equal(err.value.argument, np.zeros(1))
 
 
 class TestCrossingProperties:

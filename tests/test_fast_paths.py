@@ -26,7 +26,7 @@ from sie.core import ContinuousSignal, DiscreteSequence, HybridSystemDef
 from sie.errors import Blowup, EvaluatorFailure, GrazeDetected, PreconditionError, StepLimitExceeded
 from sie.events import _CLEAR_REL, _clears_surface, _scan_record, first_crossing
 from sie.flow import (_A, _C, _E, _ERR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _P, _SAFETY,
-                      FlowSegment, IntegratorConfig, Stepper, _build_segment, _quartic)
+                      FlowSegment, IntegratorConfig, Stepper, _build_segment, _dense)
 from sie.hybrid import simulate
 from sie.iss import _N_BOOT, _bootstrap_median_diff
 from sie.orbit import Chords, _chord_sq_distances, nearest_chords
@@ -415,7 +415,7 @@ def test_declared_surface_scans_like_the_samples(n, data, r1, gap, lift, beta, g
     y_left = y_rand + gg * (p[0] - c - g @ y_rand)
     Q = q_rand + np.outer(gg, p[1:] / h - g @ q_rand)
     # the end state, from which the next step starts, off the dense value
-    y_right = _quartic(t_left, h, y_left, Q, t_left + h) + y_end_jitter * gg
+    y_right = _dense(t_left, h, [y_left], [Q.T], t_left + h)[0] + y_end_jitter * gg
     record = (t_left, h, y_left, y_right, Q)
     declared, plain = _affine_pair(g, c, drift)
     from_t = data.draw(st.sampled_from([t_left, t_left - 1.0]))
@@ -434,7 +434,7 @@ def test_every_bernstein_coefficient_guards_the_clear(dip):
     g, c, h = np.array([1.0, 0.0]), 0.5, 0.2
     y_left = np.array([a[0] - c, 0.3])
     Q = np.vstack([a[1:] / h, np.zeros(4)])
-    record = (2.0, h, y_left, _quartic(2.0, h, y_left, Q, 2.0 + h), Q)
+    record = (2.0, h, y_left, _dense(2.0, h, [y_left], [Q.T], 2.0 + h)[0], Q)
     outcomes = []
     for drift in (np.array([-1.0, 0.0]), np.array([1.0, 0.0])):
         declared, plain = _affine_pair(g, c, drift)
@@ -481,7 +481,7 @@ def test_clear_over_nonzero_terms_is_the_full_sum(data, n, h, factor):
                                     min_size=n, max_size=n)))
     y_left = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
     Q = np.array(data.draw(st.lists(coords, min_size=4 * n, max_size=4 * n))).reshape(n, 4) / h
-    record = (0.0, h, y_left, _quartic(0.0, h, y_left, Q, h), Q)
+    record = (0.0, h, y_left, _dense(0.0, h, [y_left], [Q.T], h)[0], Q)
     lowest, size = _clear_terms_over_every_coordinate((g, 0.0), record)
     c = factor * _CLEAR_REL * size - lowest
     declared = HybridSystemDef(n=n, p=1, q=1, f=lambda x, u: x, delta=lambda x, v: x,
@@ -497,7 +497,7 @@ def test_end_state_guards_the_clear():
     g, c, h = np.array([1.0, 0.0]), 0.5, 0.2
     y_left = np.array([1.0 + 1e-6 - c, 0.3])
     Q = np.array([[-1.0 / h, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    y_right = _quartic(2.0, h, y_left, Q, 2.0 + h) - 2e-6 * g
+    y_right = _dense(2.0, h, [y_left], [Q.T], 2.0 + h)[0] - 2e-6 * g
     declared, plain = _affine_pair(g, c, np.array([-1.0, 0.0]))
     want = _scan_outcome(plain, (2.0, h, y_left, y_right, Q), 0.0)
     assert want is not None

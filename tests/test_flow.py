@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sie.core import ContinuousSignal, HybridSystemDef
 from sie.errors import Blowup, PreconditionError, StepLimitExceeded
-from sie.flow import IntegratorConfig, Stepper, integrate
-from sie.orbit import _Steps
+from sie.flow import FlowSegment, IntegratorConfig, Stepper, _dense, integrate
 from sie import models
 from tests.conftest import LN2
 
@@ -156,9 +157,8 @@ def test_eval_many_matches_row_by_row_eval(rimless_sys):
                          [seg.t0, seg.t1], rng.uniform(seg.t0, seg.t1, 200)])
     ts = ts[ts <= seg.t1]
     batch = seg.eval_many(ts)
-    scale = max(1.0, float(np.max(np.abs(seg.ys))))
     for t, row in zip(ts, batch):
-        assert np.max(np.abs(row - seg.eval(float(t)))) <= 1e-15 * scale
+        assert np.array_equal(row, seg.eval(float(t)))
     assert np.array_equal(seg.eval_many(np.array([seg.t0, seg.t1])), seg.ys[[0, -1]])
     # outside the span eval raises and eval_many holds the end states
     with pytest.raises(PreconditionError):
@@ -174,22 +174,17 @@ def rimless_segment(rimless_sys):
 
 
 def test_jet_value_is_eval(rimless_segment):
-    # the refine's step arithmetic sums in Q's column order, eval in BLAS's:
-    # y(tau) stays within one ulp of eval per coordinate (the bound measured
-    # on 1e5 random times on each catalog orbit), the end nodes exactly
+    # the refine's jet and eval read one expression: the same bits
     seg = rimless_segment
-    steps = _Steps.of(seg)
     rng = np.random.default_rng(13)
     ts = np.concatenate([seg.ts, seg.ts + 0.37 * seg.hs, [seg.t0, seg.t1],
                          rng.uniform(seg.t0, seg.t1, 200)])
     for t in ts[ts <= seg.t1]:
-        ref = seg.eval(float(t))
-        y, _, _ = steps.jet(float(t))
-        assert np.all(np.abs(np.array(y) - ref) <= np.spacing(np.abs(ref)))
+        assert seg._jet(float(t))[0] == seg.eval(float(t)).tolist()
     # at and beyond the span's ends the value is the end node exactly
     for t, node in ((seg.t0, seg.ys[0]), (seg.t0 - 1e-3, seg.ys[0]), (seg.t1, seg.ys[-1]),
                     (seg.t1 + 1e-3, seg.ys[-1])):
-        assert steps.jet(t)[0] == node.tolist()
+        assert seg._jet(t)[0] == node.tolist()
 
 
 def test_nan_time_is_a_precondition_error(rimless_segment):
@@ -203,32 +198,66 @@ def test_nan_time_is_a_precondition_error(rimless_segment):
 def test_step_jet_of_nan_time_is_nan(rimless_segment):
     # the step arithmetic has no span check (the refine keeps tau inside its
     # bracket): a NaN time reads NaN, never an end node
-    assert all(math.isnan(v) for part in _Steps.of(rimless_segment).jet(math.nan) for v in part)
+    assert all(math.isnan(v) for part in rimless_segment._jet(math.nan) for v in part)
 
 
 def test_jet_slope_at_step_nodes_is_the_vector_field(rimless_sys, rimless_segment):
     # the quartic's first coefficient is the FSAL stage k1 = f(y_left)
     seg = rimless_segment
-    steps = _Steps.of(seg)
     scale = max(1.0, float(np.max(np.abs(seg.ys))))
     for t, y_left in zip(seg.ts, seg.ys):
-        _, dy, _ = steps.jet(float(t))
+        _, dy, _ = seg._jet(float(t))
         f = rimless_sys.eval_f(y_left, np.zeros(1))
         assert np.max(np.abs(np.array(dy) - f)) <= 1e-12 * scale
 
 
 def test_jet_derivatives_match_central_differences(rimless_segment):
     seg = rimless_segment
-    steps = _Steps.of(seg)
     scale = max(1.0, float(np.max(np.abs(seg.ys))))
     for t, h in zip(seg.ts, seg.hs):
         for frac in (0.25, 0.5, 0.75):
             tc = float(t + frac * h)
             if tc + 1e-3 * h >= seg.t1:
                 continue
-            _, dy, ddy = steps.jet(tc)
+            _, dy, ddy = seg._jet(tc)
             dt = 1e-3 * h
             yp, y0, ym = seg.eval(tc + dt), seg.eval(tc), seg.eval(tc - dt)
             # quartic in t: the truncation errors are dt^2/6 y''' and dt^2/12 y''''
             assert np.max(np.abs(np.array(dy) - (yp - ym) / (2.0 * dt))) <= 1e-8 * scale
             assert np.max(np.abs(np.array(ddy) - (yp - 2.0 * y0 + ym) / dt**2)) <= 1e-4 * scale
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_dense_expression_same_bits_on_floats_columns_and_blocks(n, steps, seed):
+    # random steps with node and Q entries from 1e-150 to 1e150 in size:
+    # eval, the float jet and the event bisection (floats), the column jet
+    # (columns) and eval_many (blocks) read one expression, which gives a
+    # record's (n,) block the same bits too
+    rng = np.random.default_rng(seed)
+
+    def magnitudes(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-150.0, 150.0, size=shape)
+
+    hs = rng.uniform(1e-3, 10.0, steps)
+    ts = rng.uniform(-100.0, 100.0) + np.concatenate([[0.0], np.cumsum(hs)[:-1]])
+    seg = FlowSegment(t0=float(ts[0]), t1=float(ts[-1] + hs[-1]), ts=ts, hs=hs,
+                      ys=magnitudes(steps + 1, n), qs=magnitudes(steps, n, 4),
+                      n_accepted=steps, n_rejected=0)
+    taus = np.concatenate([rng.uniform(seg.t0, seg.t1, 20), ts, [seg.t1]])
+    block = seg.eval_many(taus)
+    columns = seg._jet_many(taus)
+    for k, tau in enumerate(taus.tolist()):
+        y, dy, ddy = seg._jet(tau)
+        assert _bits(seg.eval(tau)) == _bits(y) == _bits(block[k])
+        for part, column in zip((y, dy, ddy), columns):
+            assert _bits([c[k] for c in column]) == _bits(part)
+        if seg.t0 < tau < seg.t1:
+            i = int(ts[1:].searchsorted(tau, "right"))
+            t, h, y0, q = ts[i], hs[i], seg.ys[i], seg.qs[i]
+            assert _bits(_dense(t, h, y0.tolist(), q.tolist(), tau)) == _bits(y)
+            assert _bits(_dense(t, h, [y0], [q.T], tau)[0]) == _bits(y)

@@ -10,7 +10,7 @@ from sie.errors import ClosureError, PreconditionError
 from sie.flow import IntegratorConfig, Stepper, integrate
 import sie.orbit as orbit_mod
 from sie.orbit import (_TAU_TOL_REL, Prop1Report, UpperBoundViolation, _chord_sq_distances,
-                       _jet_many, _newton_refine, _newton_refine_many, build_orbit,
+                       _newton_refine, _newton_refine_many, build_orbit,
                        certify_prop1, dist_to_orbit, nearest_chords, orbital_deviations,
                        refine_distance)
 from sie.poincare import (SurfaceChart, _state_columns, _Variational, find_fixed_point,
@@ -619,7 +619,7 @@ class TestNewtonRefine:
         rng = np.random.default_rng(22)
         for _ in range(50):
             x = np.array([rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0)])
-            y, dy, _ = linear_orbit.steps.jet(x[0])
+            y, dy, _ = linear_orbit.segment._jet(x[0])
             d, taus = dist_to_orbit(linear_orbit, x)
             assert d == pytest.approx(abs(x[1] - y[1]), abs=1e-15)
             assert len(taus) == 1
@@ -628,19 +628,18 @@ class TestNewtonRefine:
 
 @pytest.mark.parametrize("orbit_fixture", ["linear_orbit", "rimless_orbit", "vdp_orbit"])
 def test_step_jet_within_one_ulp_of_eval(orbit_fixture, request):
-    # the refine's y(tau) sums in Q's column order, FlowSegment.eval in
-    # BLAS's; on 1e5 random times per catalog orbit they differed by at most
-    # one ulp per coordinate (on a few in 1e4 times), and the batched form
-    # repeats the scalar one exactly
+    # the refine's float and column jets, eval and eval_many all read
+    # `flow._dense`'s expression: the same bits at every time
     orb = request.getfixturevalue(orbit_fixture)
     seg = orb.segment
     rng = np.random.default_rng(25)
     taus = np.concatenate([rng.uniform(0.0, orb.t_star, 2000), seg.ts, [0.0, orb.t_star]])
-    scalar = [orb.steps.jet(float(t)) for t in taus]
-    for part, many in enumerate(_jet_many(seg, taus)):
+    scalar = [seg._jet(float(t)) for t in taus]
+    for part, many in enumerate(seg._jet_many(taus)):
         assert np.array_equal(np.column_stack(many), np.array([s[part] for s in scalar]))
-    y, ref = np.array([s[0] for s in scalar]), seg.eval_many(taus)
-    assert np.all(np.abs(y - ref) <= np.spacing(np.abs(ref)))
+    y = np.array([s[0] for s in scalar])
+    assert np.array_equal(y, seg.eval_many(taus))
+    assert np.array_equal(y, np.array([seg.eval(float(t)) for t in taus]))
     assert np.array_equal(y[-2:], seg.ys[[0, -1]])
 
 
