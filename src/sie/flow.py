@@ -116,7 +116,7 @@ class FlowSegment:
             y = ys[-1]
         return y, dy, ddy
 
-    def _jet_many(self, t: np.ndarray) -> tuple[list[np.ndarray], ...]:
+    def _column_jet(self, t: np.ndarray) -> tuple[list[np.ndarray], ...]:
         """`_jet` of each entry of t, one column per coordinate."""
         i = self.ts[1:].searchsorted(t, "right")
         y, dy, ddy = _dense_jet(self.ts[i], self.hs[i], self.ys[i].T,

@@ -321,7 +321,7 @@ def _newton_refine_many(orbit: PeriodicOrbit, xs: np.ndarray, j0: np.ndarray,
     for _ in range(_NEWTON_MAX_ITERS):
         if not rows.size:
             break
-        g, slope, curv = _g_terms(xs[rows].T, *orbit.segment._jet_many(tau))
+        g, slope, curv = _g_terms(xs[rows].T, *orbit.segment._column_jet(tau))
         better = g < best_g[rows]
         best_g[rows[better]] = g[better]
         best_t[rows[better]] = tau[better]

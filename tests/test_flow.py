@@ -250,7 +250,7 @@ def test_dense_expression_same_bits_on_floats_columns_and_blocks(n, steps, seed)
                       n_accepted=steps, n_rejected=0)
     taus = np.concatenate([rng.uniform(seg.t0, seg.t1, 20), ts, [seg.t1]])
     block = seg.eval_many(taus)
-    columns = seg._jet_many(taus)
+    columns = seg._column_jet(taus)
     for k, tau in enumerate(taus.tolist()):
         y, dy, ddy = seg._jet(tau)
         assert _bits(seg.eval(tau)) == _bits(y) == _bits(block[k])

@@ -635,7 +635,7 @@ def test_step_jet_within_one_ulp_of_eval(orbit_fixture, request):
     rng = np.random.default_rng(25)
     taus = np.concatenate([rng.uniform(0.0, orb.t_star, 2000), seg.ts, [0.0, orb.t_star]])
     scalar = [seg._jet(float(t)) for t in taus]
-    for part, many in enumerate(seg._jet_many(taus)):
+    for part, many in enumerate(seg._column_jet(taus)):
         assert np.array_equal(np.column_stack(many), np.array([s[part] for s in scalar]))
     y = np.array([s[0] for s in scalar])
     assert np.array_equal(y, seg.eval_many(taus))
