@@ -1,6 +1,8 @@
-"""The periodic orbit as a geometric object: dense parameterization, refined
-sample polyline, nearest-point queries, and the empirical distance-sandwich
-certificate relating on-surface distance to distance from the fixed point.
+"""The periodic orbit as a geometric object: dense parameterization, a
+refined sample polyline for output, nearest-point queries that start on the
+chords between the integrator's step nodes, and the empirical
+distance-sandwich certificate relating on-surface distance to distance from
+the fixed point.
 
 The orbit is parameterized forward in time from the post-reset point, so
 tau runs over [0, T*] with y(0) the reset image and y(T*) the fixed point;
@@ -24,12 +26,7 @@ _CLOSURE_REL = 1e-8
 _DS_MAX_REL = 1e-3
 _TAU_TOL_REL = 1e-12
 _TAU_SET_TOL = 1e-9
-_BLOCK_ELEMENTS = 1 << 15  # point pairs per block of nearest_chords and the diameter
-_GROUP = 64  # consecutive chords per bounding ball
-# nearest_chords keeps a chord group unless its squared lower bound exceeds
-# the smallest squared upper bound by this, relative to the squared size of
-# the coordinates: thousands of times the rounding of a chord distance
-_PRUNE_REL = 1e-12
+_BLOCK_ELEMENTS = 1 << 15  # point pairs per block of the diameter; nearest_chords takes 1/4
 _NEWTON_MAX_ITERS = 100  # bisecting a whole period to the tau tolerance takes 40
 
 
@@ -49,7 +46,7 @@ class PeriodicOrbit:
     x_star: np.ndarray
     t_star: float
     segment: FlowSegment
-    taus: np.ndarray     # refined, ascending, taus[0] = 0, taus[-1] = t_star
+    taus: np.ndarray     # output only: refined, ascending, taus[0] = 0, taus[-1] = t_star
     points: np.ndarray   # points[i] = y(taus[i])
     diameter: float
     ds_max: float
@@ -59,45 +56,31 @@ class PeriodicOrbit:
 
     @cached_property
     def chords(self) -> Chords:
-        return Chords.of(self.points)
+        """The chords between the segment's step nodes, ending at T*."""
+        return Chords.of(np.append(self.segment.ts, self.segment.t1), self.segment.ys)
 
 
 @dataclass(frozen=True)
 class Chords:
-    """The chords of a sample polyline, built once per polyline: start
-    points, direction vectors and squared lengths, one contiguous array per
-    coordinate.  A zero-length chord (a repeated sample) gets squared length
-    1, so it counts as its start point.
+    """The chords of a polyline through points[i] = y(taus[i]), built once
+    per polyline: start points, direction vectors and squared lengths, one
+    contiguous array per coordinate.  A zero-length chord (a repeated
+    point) gets squared length 1, so it counts as its start point."""
 
-    `of` also cuts the chords into groups of _GROUP consecutive ones:
-    `groups` holds them as (groups, _GROUP) arrays, the last group padded
-    with copies of the last chord, and each group's samples lie in the ball
-    of its `centers` row and `radii` entry."""
-
+    taus: np.ndarray
+    points: np.ndarray
     starts: tuple[np.ndarray, ...]
     dirs: tuple[np.ndarray, ...]
     sq_lengths: np.ndarray
-    groups: Chords | None = None
-    centers: np.ndarray | None = None
-    radii: np.ndarray | None = None
 
     @classmethod
-    def of(cls, points: np.ndarray) -> "Chords":
+    def of(cls, taus: np.ndarray, points: np.ndarray) -> "Chords":
         p = points[:-1]
         d = points[1:] - p
         sq = np.einsum("ij,ij->i", d, d)
         sq[sq == 0.0] = 1.0
-        n_groups = -(-len(sq) // _GROUP)
-        pad = np.minimum(np.arange(n_groups * _GROUP), len(sq) - 1).reshape(n_groups, _GROUP)
-        # a group's samples: its chords' starts and its last chord's end
-        samples = points[np.column_stack([pad, pad[:, -1] + 1])]
-        centers = 0.5 * (samples.min(axis=1) + samples.max(axis=1))
-        radii = np.sqrt(((samples - centers[:, None]) ** 2).sum(axis=-1).max(axis=1))
-        groups = cls(starts=tuple(c[pad] for c in p.T), dirs=tuple(c[pad] for c in d.T),
-                     sq_lengths=sq[pad])
-        return cls(starts=tuple(np.ascontiguousarray(c) for c in p.T),
-                   dirs=tuple(np.ascontiguousarray(c) for c in d.T), sq_lengths=sq,
-                   groups=groups, centers=centers, radii=radii)
+        return cls(taus=taus, points=points, starts=tuple(np.ascontiguousarray(c) for c in p.T),
+                   dirs=tuple(np.ascontiguousarray(c) for c in d.T), sq_lengths=sq)
 
 
 def _chord_sq_distances(chords: Chords, xs: np.ndarray) -> np.ndarray:
@@ -121,71 +104,18 @@ def _chord_sq_distances(chords: Chords, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _live_groups(chords: Chords, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, group) pairs, in row then group order, of every chord group
-    that may hold a row's nearest chord: the distance to a group's ball
-    bounds its chords' distances from below, and the distance to its
-    center plus its radius bounds the nearest chord's from above.  A group
-    is dropped only when its lower bound clears the smallest upper bound by
-    far more than the rounding of either bound or of a chord distance."""
-    sq = xs[:, None, :] - chords.centers
-    sq *= sq
-    dc = np.sqrt(sq.sum(axis=-1))
-    upper = (dc + chords.radii).min(axis=1)
-    size = np.abs(xs).max(axis=1) + (np.abs(chords.centers).max() + chords.radii.max())
-    upper *= upper
-    upper += _PRUNE_REL * (1.0 + size) ** 2
-    dc -= chords.radii
-    np.maximum(dc, 0.0, out=dc)
-    dc *= dc
-    return np.nonzero(dc <= upper[:, None])
-
-
 def nearest_chords(chords: Chords, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index and distance of the nearest chord for each row of xs, the
-    first one on a tie, as the argmin of `_chord_sq_distances` over every
-    chord gives them.
-
-    Only the chord groups that `_live_groups` keeps are measured, with
-    `_chord_sq_distances`' own arithmetic.  Rows and measured row-chord
-    pairs go in blocks of at most _BLOCK_ELEMENTS elements, so memory stays
-    flat however many rows there are.
-    """
-    grp = chords.groups
+    first one on a tie: the argmin of `_chord_sq_distances`, in row blocks
+    of at most a quarter of _BLOCK_ELEMENTS row-chord pairs, so memory stays
+    flat however many rows there are."""
     idx = np.empty(len(xs), dtype=np.intp)
-    sq = np.full(len(xs), np.inf)
-    # the bounds take a (rows, groups, n) array; measured pairs go a quarter
-    # block at a time, since their gathered chords take memory besides the
-    # distances, and memory stays below a full block's
-    rows = max(1, _BLOCK_ELEMENTS // (len(chords.radii) * xs.shape[1]))
-    pairs = max(1, _BLOCK_ELEMENTS // (4 * _GROUP))
+    sq = np.empty(len(xs))
+    rows = max(1, _BLOCK_ELEMENTS // (4 * len(chords.sq_lengths)))
     for lo in range(0, len(xs), rows):
-        live_row, live_group = _live_groups(chords, xs[lo:lo + rows])
-        live_row += lo
-        for a in range(0, len(live_row), pairs):
-            r, g = live_row[a:a + pairs], live_group[a:a + pairs]
-            part = Chords(starts=tuple(c[g] for c in grp.starts), dirs=tuple(c[g] for c in grp.dirs),
-                          sq_lengths=grp.sq_lengths[g])
-            chord = _chord_sq_distances(part, xs[r])
-            best = np.argmin(chord, axis=1)
-            d2 = chord[np.arange(len(best)), best]
-            # the first pair of each row reaching the row's smallest value in
-            # this block: groups ascend within a row, so it is the lowest chord
-            order = np.lexsort((d2, r))
-            first = order[np.r_[True, r[order][1:] != r[order][:-1]]]
-            # a strict < keeps the lower chord index from an earlier block
-            take = first[d2[first] < sq[r[first]]]
-            sq[r[take]] = d2[take]
-            idx[r[take]] = g[take] * _GROUP + best[take]
-    # a row that no group brought below inf (a non-finite row, or one whose
-    # distances overflow) takes the full pass in row blocks
-    left = np.flatnonzero(~(sq < np.inf))
-    rows = max(1, _BLOCK_ELEMENTS // len(chords.sq_lengths))
-    for a in range(0, len(left), rows):
-        r = left[a:a + rows]
-        chord = _chord_sq_distances(chords, xs[r])
-        idx[r] = np.argmin(chord, axis=1)
-        sq[r] = chord[np.arange(len(r)), idx[r]]
+        chord = _chord_sq_distances(chords, xs[lo:lo + rows])
+        idx[lo:lo + rows] = np.argmin(chord, axis=1)
+        sq[lo:lo + rows] = np.min(chord, axis=1)
     return idx, np.sqrt(sq)
 
 
@@ -267,15 +197,15 @@ def _sq_norm(coords):
 
 
 def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tuple[float, float]:
-    """Minimize g(tau) = ||x - y(tau)||^2 on [taus[j0], taus[j1]]: Newton's
-    method on the step quartic's jet from the bracket's nearest sample,
-    bisecting whenever the step leaves the bracket or g'' <= 0, down to the
-    tau tolerance.  Returns (tau, distance) of the best point evaluated, the
-    bracket's samples (its two ends among them) included.  Runs on Python
-    floats: no array call per iterate."""
+    """Minimize g(tau) = ||x - y(tau)||^2 on [taus[j0], taus[j1]] of the
+    orbit's chords: Newton's method on the step quartic's jet from the
+    bracket's nearest node, bisecting whenever the step leaves the bracket
+    or g'' <= 0, down to the tau tolerance.  Returns (tau, distance) of the
+    best point evaluated, the bracket's nodes (its two ends among them)
+    included.  Runs on Python floats: no array call per iterate."""
     x = x.tolist()
-    taus = orbit.taus[j0:j1 + 1].tolist()
-    points = orbit.points[j0:j1 + 1].tolist()
+    taus = orbit.chords.taus[j0:j1 + 1].tolist()
+    points = orbit.chords.points[j0:j1 + 1].tolist()
     node_g = [_sq_norm([xj - pj for xj, pj in zip(x, p)]) for p in points]
     k = min(range(len(node_g)), key=node_g.__getitem__)  # the first on a tie, as argmin
     best_g, best_t = node_g[k], taus[k]
@@ -304,18 +234,19 @@ def _newton_refine(orbit: PeriodicOrbit, x: np.ndarray, j0: int, j1: int) -> tup
 def _newton_refine_many(orbit: PeriodicOrbit, xs: np.ndarray, j0: np.ndarray,
                         j1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_newton_refine` of each row of xs on its own bracket
-    [taus[j0[k]], taus[j1[k]]] (at most four samples), all rows at once:
+    [taus[j0[k]], taus[j1[k]]] (at most four nodes), all rows at once:
     the same float expressions on columns, one per iteration for every live
     row, and a row stops on its own, so each row repeats the scalar result
     bit for bit."""
-    # the bracket's samples, its last one repeated in a shorter bracket
+    taus, points = orbit.chords.taus, orbit.chords.points
+    # the bracket's nodes, its last one repeated in a shorter bracket
     js = np.minimum(j0[:, None] + np.arange(4), j1[:, None])
-    node_g = _sq_norm(np.moveaxis(xs[:, None, :] - orbit.points[js], -1, 0))
+    node_g = _sq_norm(np.moveaxis(xs[:, None, :] - points[js], -1, 0))
     rows = np.arange(len(xs))
     k = np.argmin(node_g, axis=1)
     best_g = node_g[rows, k]
-    best_t = orbit.taus[js[rows, k]]
-    a, b = orbit.taus[j0], orbit.taus[j1]
+    best_t = taus[js[rows, k]]
+    a, b = taus[j0], taus[j1]
     tau = best_t.copy()
     tol = _TAU_TOL_REL * max(1.0, orbit.t_star)
     for _ in range(_NEWTON_MAX_ITERS):
@@ -340,30 +271,29 @@ def refine_distance(orbit: PeriodicOrbit, xs: np.ndarray, i_chords: np.ndarray) 
     batched over the rows."""
     i = np.asarray(i_chords, dtype=np.intp)
     return _newton_refine_many(orbit, np.asarray(xs, dtype=float), np.maximum(i - 1, 0),
-                               np.minimum(i + 2, len(orbit.taus) - 1))[1]
+                               np.minimum(i + 2, len(orbit.chords.taus) - 1))[1]
 
 
 def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[float]]:
     """Distance from x to the orbit closure and the set of parameter values
     realizing it: the least of the distances to the orbit's ends, tau = 0
     and tau = T* (the fixed point), and of the safeguarded Newton on the
-    nearest chord i's bracket [taus[i - 1], taus[i + 2]], and on the other
-    end chord's too when i is an end chord, where an identity reset closes
-    the orbit.  Raises PreconditionError unless x is a finite point of
-    shape (n,)."""
+    bracket [taus[i - 1], taus[i + 2]] of the chord i that `nearest_chords`
+    gives x, and on the other end chord's too when i is an end chord, where
+    an identity reset closes the orbit.  Raises PreconditionError unless x
+    is a finite point of shape (n,)."""
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"query point is not numeric: {exc}") from exc
     if x.shape != orbit.x_star.shape or not np.isfinite(x).all():
         raise PreconditionError(f"query point must be finite of shape {orbit.x_star.shape}")
-    # the full chord pass: for one row it costs less than nearest_chords' groups
-    i = int(np.argmin(_chord_sq_distances(orbit.chords, x[None, :])[0]))
-    last = len(orbit.taus) - 2  # index of the last chord
+    i = int(nearest_chords(orbit.chords, x[None, :])[0][0])
+    last = len(orbit.chords.taus) - 2  # index of the last chord
     best = [_newton_refine(orbit, x, max(j - 1, 0), min(j + 2, last + 1))
             for j in ([i, last - i] if i in (0, last) else [i])]
     x = x.tolist()
-    for t, p in ((0.0, orbit.points[0]), (orbit.t_star, orbit.points[-1])):
+    for t, p in ((0.0, orbit.chords.points[0]), (orbit.t_star, orbit.chords.points[-1])):
         best.append((t, math.sqrt(_sq_norm([xj - pj for xj, pj in zip(x, p.tolist())]))))
     d = min(b[1] for b in best)
     near = sorted(t for t, dv in best if dv <= d + _TAU_SET_TOL)
@@ -376,15 +306,15 @@ def dist_to_orbit(orbit: PeriodicOrbit, x: np.ndarray) -> tuple[float, list[floa
 
 def orbital_deviations(orbit: PeriodicOrbit, xs: np.ndarray) -> np.ndarray:
     """`dist_to_orbit`'s distance for each row of xs, bit for bit: the same
-    candidates, through the batched chord pass and Newton."""
+    candidates, through the batched Newton."""
     i_chord, _ = nearest_chords(orbit.chords, xs)
-    last = len(orbit.taus) - 2  # index of the last chord
+    last = len(orbit.chords.taus) - 2  # index of the last chord
     at_end = np.flatnonzero((i_chord == 0) | (i_chord == last))
     d = refine_distance(orbit, np.concatenate([xs, xs[at_end]]),
                         np.concatenate([i_chord, last - i_chord[at_end]]))
     dev = d[:len(xs)]
     dev[at_end] = np.minimum(dev[at_end], d[len(xs):])
-    for p in orbit.points[[0, -1]]:  # dist_to_orbit's expression, on columns
+    for p in orbit.chords.points[[0, -1]]:  # dist_to_orbit's expression, on columns
         dev = np.minimum(dev, np.sqrt(_sq_norm((xs - p).T)))
     return dev
 

@@ -131,12 +131,12 @@ class TestDistance:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(50, 3))
         x = rng.normal(size=3)
-        d = nearest_chords(Chords.of(pts), x[None, :])[1][0]
+        d = nearest_chords(Chords.of(np.arange(50.0), pts), x[None, :])[1][0]
         assert all(d <= np.linalg.norm(x - y) + 1e-15 for y in pts)
 
     def test_point_set_distance_is_1_lipschitz(self):
         rng = np.random.default_rng(1)
-        chords = Chords.of(rng.normal(size=(40, 2)))
+        chords = Chords.of(np.arange(40.0), rng.normal(size=(40, 2)))
         for _ in range(200):
             x, xp = rng.normal(size=2), rng.normal(size=2)
             d, dp = nearest_chords(chords, np.stack([x, xp]))[1]

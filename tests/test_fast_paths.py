@@ -7,8 +7,8 @@
   each of the kernel's products;
 - a declared affine surface clears steps without sampling, yet the scan
   reports what the 12-sample scan reports;
-- `nearest_chords` measures only the chord groups its bounding balls keep,
-  yet returns the argmin of the full chord pass;
+- `nearest_chords` measures the rows in blocks, yet returns the argmin of
+  the chord pass over all rows at once;
 - the bootstrap draws all resamples before one median per side, yet reads
   the old per-resample loop's value.
 """
@@ -536,77 +536,16 @@ def test_catalog_crossings_match_the_undeclared_scan(name, x0, t_end, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# the grouped chord pass
+# the chord pass in row blocks
 
 
-def _polyline(draw_walk, repeats, m):
-    pts = np.cumsum(draw_walk, axis=0)
-    for i in sorted(set(repeats), reverse=True):
-        if i < len(pts):
-            pts = np.insert(pts, i, pts[i], axis=0)
-    return pts[:m + 1]
-
-
-@settings(max_examples=120, deadline=None)
-@given(data=st.data(), n=st.integers(1, 3),
-       m=st.one_of(st.integers(1, 63), st.sampled_from([64, 128, 192, 256]),
-                   st.integers(65, 400)),
-       seed=st.integers(0, 2**32 - 1))
-def test_grouped_chord_pass_is_the_full_argmin(data, n, m, seed):
-    rng = np.random.default_rng(seed)
-    step = 10.0 ** data.draw(st.floats(-4.0, 1.0))
-    walk = rng.normal(scale=step, size=(m + 1 + m // 4, n))
-    repeats = data.draw(st.lists(st.integers(0, m), max_size=m // 4))
-    pts = _polyline(walk, repeats, m)
-    if len(pts) < 2:
-        pts = np.vstack([pts, pts])
-    k = data.draw(st.integers(1, 60))
-    base = pts[rng.integers(0, len(pts), size=k)]
-    offsets = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-12.0, 6.0, size=(k, 1))
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    inside = lo + (hi - lo) * rng.uniform(size=(k, n))
-    xs = np.vstack([base + offsets, inside, pts[:3],
-                    pts.mean(axis=0) + 1e7 * rng.normal(size=(2, n))])
-    chords = Chords.of(pts)
-    idx, dist = nearest_chords(chords, xs)
-    full = _chord_sq_distances(chords, xs)
-    assert np.array_equal(idx, np.argmin(full, axis=1))
-    assert np.array_equal(dist, np.sqrt(np.min(full, axis=1)))
-
-
-def _loop(center, radius, start_angle):
-    th = start_angle + np.linspace(0.0, 2.0 * math.pi, 65)
-    return np.asarray(center) + radius * np.column_stack([np.cos(th), np.sin(th)])
-
-
-def test_grouped_chord_pass_with_uneven_balls():
-    # three groups of 64 chords, each a closed loop through (1, 0): a unit
-    # circle, a small one just outside it and a mid-sized one inside it.
-    # Off the unit circle's rim, the nearest chord's group has a lower bound
-    # within a tenth of its radius of the small loop's upper bound; at the
-    # unit circle's center the inner loop's lower bound sits above half the
-    # unit circle's radius; bounds any looser or tighter than the true
-    # ones drop the nearest group there
-    pts = np.vstack([_loop((0.0, 0.0), 1.0, 0.0), _loop((1.02, 0.0), 0.02, math.pi)[1:],
-                     _loop((0.8, 0.0), 0.2, 0.0)[1:]])
-    phi = math.acos((1.03 ** 2 + 1.02 ** 2 - 0.08 ** 2) / (2.0 * 1.03 * 1.02))
-    xs = np.array([[1.03 * math.cos(phi), 1.03 * math.sin(phi)], [0.0, 0.0],
-                   [1.0, 0.0], [1.2, 0.0], [0.8, 0.0], [-1.5, 0.3]])
-    chords = Chords.of(pts)
-    assert len(chords.sq_lengths) == 3 * 64
-    idx, dist = nearest_chords(chords, xs)
-    full = _chord_sq_distances(chords, xs)
-    assert np.array_equal(idx, np.argmin(full, axis=1))
-    assert np.array_equal(dist, np.sqrt(np.min(full, axis=1)))
-
-
-def test_grouped_chord_pass_on_rows_without_finite_distances():
+def test_plain_chord_pass_on_rows_without_finite_distances():
     # NaN and infinite rows, and finite rows whose squared distances
     # overflow, get what the full pass gives them
     pts = np.random.default_rng(7).normal(size=(150, 2))
     xs = np.array([[math.nan, 0.0], [math.inf, 0.0], [-math.inf, math.inf], [1e200, 1e200],
                    [0.1, 0.2], [1e150, -3.0]])
-    chords = Chords.of(pts)
+    chords = Chords.of(np.arange(150.0), pts)
     with np.errstate(over="ignore", invalid="ignore"):
         idx, dist = nearest_chords(chords, xs)
         full = _chord_sq_distances(chords, xs)
@@ -614,7 +553,7 @@ def test_grouped_chord_pass_on_rows_without_finite_distances():
     assert np.array_equal(dist, np.sqrt(np.min(full, axis=1)), equal_nan=True)
 
 
-def test_grouped_chord_pass_on_a_forced_trajectory(rimless_orbit, rimless_sys):
+def test_plain_chord_pass_on_a_forced_trajectory(rimless_orbit, rimless_sys):
     x0 = rimless_orbit.points[0] + np.array([0.0, 0.05])
     traj = simulate(rimless_sys, x0, ContinuousSignal.sinusoid([0.1], 4.0),
                     DiscreteSequence.iid_uniform(0.02, seed=5), 10.0)

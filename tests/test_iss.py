@@ -143,8 +143,8 @@ class TestRunSweep:
 
 def _newton_reference(orbit, x, i_chord):
     """The scalar safeguarded Newton of `dist_to_orbit` on the chord's
-    bracket [taus[i - 1], taus[i + 2]]."""
-    last = len(orbit.taus) - 1
+    bracket [taus[i - 1], taus[i + 2]] of the orbit's chords."""
+    last = len(orbit.chords.taus) - 1
     return _newton_refine(orbit, x, max(i_chord - 1, 0), min(i_chord + 2, last))[1]
 
 
@@ -162,8 +162,9 @@ def _parabolic_reference(orbit, x, i_chord):
             return t1
         return t1 - 0.5 * ((t1 - t0) ** 2 * (g1 - g2) - (t1 - t2) ** 2 * (g1 - g0)) / denom
 
-    lo = orbit.taus[max(i_chord - 1, 0)]
-    hi = orbit.taus[min(i_chord + 2, len(orbit.taus) - 1)]
+    taus = orbit.chords.taus
+    lo = taus[max(i_chord - 1, 0)]
+    hi = taus[min(i_chord + 2, len(taus) - 1)]
     ts = np.array([lo, 0.5 * (lo + hi), hi])
     gs = np.array([g(t) for t in ts])
     best_t, best_g = ts[int(np.argmin(gs))], float(np.min(gs))

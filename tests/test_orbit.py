@@ -168,9 +168,9 @@ class TestDistToOrbit:
 
     def test_refinement_never_increases_reported_distance(self, rimless_orbit):
         # the refined value sits at or below the coarse polyline minimum,
-        # and above it only by the chord sag bound
+        # and above it only by the node chords' sag
         rng = np.random.default_rng(9)
-        sag = rimless_orbit.ds_max ** 2  # generous bound on chord deviation
+        sag = _node_chord_sag(rimless_orbit)
         for _ in range(80):
             x = rimless_orbit.x_star + rng.uniform(-1.0, 1.0, size=2)
             coarse = math.sqrt(np.min(_chord_sq_distances(rimless_orbit.chords, x[None, :])))
@@ -215,22 +215,27 @@ class TestDistToOrbit:
         assert orbital_deviations(orb, xs).tolist() == want
 
     def test_repeated_sample_counts_as_its_endpoint(self, linear_orbit):
-        # a repeated orbit sample makes a zero-length chord, which must read
-        # as its endpoint, not as 0/0
-        k = int(np.searchsorted(linear_orbit.points[:, 0], 0.5))
-        orb = replace(linear_orbit,
-                      taus=np.insert(linear_orbit.taus, k, linear_orbit.taus[k]),
-                      points=np.insert(linear_orbit.points, k, linear_orbit.points[k], axis=0))
+        # a repeated step node (a crossing at a step's left edge leaves the
+        # last two equal) makes a zero-length chord, which must read as its
+        # endpoint, not as 0/0; the step record is repeated whole, and the
+        # jets never pick the first copy, so the dense output stays the same
+        seg = linear_orbit.segment
+        k = int(np.searchsorted(seg.ys[:, 0], 0.5))
+        orb = replace(linear_orbit, segment=replace(
+            seg, ts=np.insert(seg.ts, k, seg.ts[k]), hs=np.insert(seg.hs, k, seg.hs[k]),
+            ys=np.insert(seg.ys, k, seg.ys[k], axis=0), qs=np.insert(seg.qs, k, seg.qs[k], axis=0)))
+        assert orb.chords.sq_lengths[k] == 1.0
+        assert np.array_equal(orb.chords.points[k], orb.chords.points[k + 1])
         x = np.array([0.5, 0.2])
         assert np.all(np.isfinite(_chord_sq_distances(orb.chords, x[None, :])))
         d, taus = dist_to_orbit(orb, x)
         assert d == pytest.approx(0.2, abs=1e-9)
         assert taus[0] == pytest.approx(0.5, abs=1e-6)
         # the sweep's batched query, on a far and a near row
-        x_near = orb.points[k] + np.array([0.0, 1e-3])
+        x_near = orb.chords.points[k] + np.array([0.0, 1e-3])
         assert orbital_deviations(orb, np.array([x, x_near])) == pytest.approx([0.2, 1e-3],
                                                                               abs=1e-9)
-        idx, dist = nearest_chords(orb.chords, np.array([orb.points[k]]))
+        idx, dist = nearest_chords(orb.chords, np.array([orb.chords.points[k]]))
         assert dist[0] == 0.0 and idx[0] in (k - 1, k, k + 1)
 
     def test_nearest_chords_blocks_match_one_matrix(self, rimless_orbit):
@@ -241,17 +246,26 @@ class TestDistToOrbit:
         assert np.array_equal(idx, np.argmin(full, axis=1))
         assert np.array_equal(dist, np.min(full, axis=1))
 
-    def test_no_self_intersection(self, rimless_orbit):
-        # distinct parameter values keep distinct points (injectivity):
-        # any pair of samples far apart in tau stays separated in space
-        taus = rimless_orbit.taus
-        pts = rimless_orbit.points
-        speed_min = 0.9  # |f| along this orbit stays above 1
-        rng = np.random.default_rng(6)
-        idx = rng.integers(0, len(taus), size=(400, 2))
-        for i, j in idx:
-            if abs(taus[i] - taus[j]) > 2.0 * rimless_orbit.ds_max / speed_min:
-                assert float(np.linalg.norm(pts[i] - pts[j])) > 1e-4 * rimless_orbit.diameter
+    @pytest.mark.parametrize("orbit_fixture,sag_rel", [
+        ("linear_orbit", 1e-15), ("rimless_orbit", 4.3e-5), ("vdp_orbit", 1.2e-5)])
+    def test_node_chords_keep_the_nearest_chord_rule(self, orbit_fixture, sag_rel, request):
+        # the queries start on the chords between the step nodes; the
+        # nearest chord's bracket holds the nearest point while no two arcs
+        # come within about twice the chord sag, so that sag, relative to
+        # the diameter, is stated here, and it must lie far below the
+        # closest approach of a node to a chord more than 3 steps away
+        # (counted around the orbit, as an identity reset closes it)
+        orb = request.getfixturevalue(orbit_fixture)
+        seg = orb.segment
+        assert np.array_equal(orb.chords.taus, np.append(seg.ts, seg.t1))
+        assert np.array_equal(orb.chords.points, seg.ys)
+        sag = _node_chord_sag(orb)
+        assert sag <= sag_rel * orb.diameter
+        n_chords = len(orb.chords.sq_lengths)
+        apart = np.abs(np.arange(n_chords + 1)[:, None] - np.arange(n_chords))
+        apart = np.minimum(apart, n_chords - apart)
+        closest = math.sqrt(np.min(_chord_sq_distances(orb.chords, seg.ys)[apart > 3]))
+        assert 2.0 * sag < 0.05 * closest
 
 
 def _reference_certify(orbit, sysd, n_samples, radii, seed):
@@ -500,9 +514,10 @@ def _golden_refine(orbit, x, lo, hi):
 
 
 def _golden_dist(orbit, x):
-    """Reference orbit distance: every run of chords within ds_max of the
-    nearest one, a wider net than `dist_to_orbit`'s nearest-chord bracket,
-    each run refined by golden section, plus the two orbit ends."""
+    """Reference orbit distance: every run of chords within ds_max (about
+    24 times the rimless chord sag) of the nearest one, a wider net than
+    `dist_to_orbit`'s nearest-chord bracket, each run refined by golden
+    section, plus the two orbit ends."""
     chord = np.sqrt(_chord_sq_distances(orbit.chords, x[None, :])[0])
     cand = np.flatnonzero(chord <= float(np.min(chord)) + orbit.ds_max)
     runs = []
@@ -511,11 +526,19 @@ def _golden_dist(orbit, x):
             runs[-1][1] = i
         else:
             runs.append([i, i])
-    last = len(orbit.taus) - 1
-    ds = [_golden_refine(orbit, x, orbit.taus[max(i0 - 1, 0)], orbit.taus[min(i1 + 2, last)])[1]
+    taus = orbit.chords.taus
+    ds = [_golden_refine(orbit, x, taus[max(i0 - 1, 0)], taus[min(i1 + 2, len(taus) - 1)])[1]
           for i0, i1 in runs]
     ds += [float(np.linalg.norm(x - orbit.eval(t))) for t in (0.0, orbit.t_star)]
     return min(ds)
+
+
+def _node_chord_sag(orbit):
+    """The largest node-chord sag: the dense state at mid-step against the
+    chord's midpoint."""
+    taus, points = orbit.chords.taus, orbit.chords.points
+    mid = orbit.segment.eval_many(0.5 * (taus[:-1] + taus[1:]))
+    return float(np.max(np.linalg.norm(mid - 0.5 * (points[:-1] + points[1:]), axis=1)))
 
 
 def _chord_sq_distances_per_call(points, xs):
@@ -594,7 +617,7 @@ class TestNewtonRefine:
         # tau_frac T*; both shapes run one set of float expressions, so they
         # agree exactly
         orb = {"linear": linear_orbit, "rimless": rimless_orbit, "vdp": vdp_orbit}[model_name]
-        last = len(orb.taus) - 1
+        last = len(orb.chords.taus) - 1
         ts = orb.segment.ts
         xs, chords = [], []
         for tau_frac, log_off, angle, where in points:
@@ -605,7 +628,7 @@ class TestNewtonRefine:
             xs.append(x)
             chords.append({"nearest": int(np.argmin(_chord_sq_distances(orb.chords, x[None, :]))),
                            "first": 0, "last": last - 1,
-                           "step": min(int(np.searchsorted(orb.taus, tau)), last - 1)}[where])
+                           "step": min(int(np.searchsorted(orb.chords.taus, tau)), last - 1)}[where])
         xs, chords = np.array(xs), np.array(chords)
         j0, j1 = np.maximum(chords - 1, 0), np.minimum(chords + 2, last)
         taus, dists = _newton_refine_many(orb, xs, j0, j1)
@@ -648,7 +671,7 @@ class TestChordCache:
         rng = np.random.default_rng(23)
         xs = rimless_orbit.x_star + rng.uniform(-2.0, 2.0, size=(500, 2))
         for x in xs:
-            want = np.sqrt(_chord_sq_distances_per_call(rimless_orbit.points, x[None, :])[0])
+            want = np.sqrt(_chord_sq_distances_per_call(rimless_orbit.segment.ys, x[None, :])[0])
             got = np.sqrt(_chord_sq_distances(rimless_orbit.chords, x[None, :])[0])
             assert np.array_equal(got, want)
 
@@ -656,6 +679,6 @@ class TestChordCache:
         rng = np.random.default_rng(24)
         xs = rimless_orbit.x_star + rng.uniform(-2.0, 2.0, size=(500, 2))
         idx, dist = nearest_chords(rimless_orbit.chords, xs)
-        full = _chord_sq_distances_per_call(rimless_orbit.points, xs)
+        full = _chord_sq_distances_per_call(rimless_orbit.segment.ys, xs)
         assert np.array_equal(idx, np.argmin(full, axis=1))
         assert np.array_equal(dist, np.sqrt(np.min(full, axis=1)))
