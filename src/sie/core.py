@@ -245,9 +245,14 @@ class ContinuousSignal:
             v = s * np.asarray(self.value)
             return lambda t: v
         if self.kind == "sinusoid":
-            a = s * np.asarray(self.amplitude)
+            amplitudes = [s * ai for ai in self.amplitude]
             w, ph = self.omega, self.phase
-            return lambda t: a * math.sin(w * (t + t0) + ph)
+
+            def _sin(t: float) -> np.ndarray:
+                st = math.sin(w * (t + t0) + ph)  # once, however many amplitudes
+                return np.array([ai * st for ai in amplitudes])
+
+            return _sin
         if self.kind == "tabulated":
             ts = np.asarray(self.times)
             vals = s * np.asarray(self.values)

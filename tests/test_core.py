@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sie import _rng
 from sie.core import (ContinuousSignal, DiscreteSequence, HybridSystemDef,
@@ -39,6 +41,23 @@ class TestSignals:
         fn = u.compile()
         assert fn(0.0)[0] == 0.0
         assert fn(math.pi / 8.0)[0] == pytest.approx(5.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(amplitude=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
+           omega=st.floats(1e-2, 1e2), phase=st.floats(-10.0, 10.0),
+           scale=st.floats(-1e3, 1e3).filter(lambda v: v != 0.0), shift=st.floats(-1e3, 1e3),
+           ts=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=5))
+    def test_compiled_sinusoid_is_the_array_form(self, amplitude, omega, phase, scale, shift, ts):
+        # the closure takes one sine and multiplies Python floats; it must
+        # give the bits of the (p,) array times the sine, p from 1 to 3
+        u = ContinuousSignal.sinusoid(amplitude, omega, phase).scaled(scale).shifted(shift)
+        fn = u.compile()
+        a = u.scale * np.asarray(u.amplitude)
+        for t in ts:
+            want = a * math.sin(u.omega * (t + u.t_shift) + u.phase)
+            got = fn(t)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_constant_norm(self):
         assert ContinuousSignal.constant([3.0, 4.0]).sup_norm() == pytest.approx(5.0)
