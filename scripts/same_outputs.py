@@ -20,7 +20,7 @@ rounds; without any, each workload runs seed 1, round 0.  The script:
   differing row and column (CSV) or key (JSON) and the largest relative
   and the largest absolute move of any number in the file;
 - compares each workload's traced counts: the `# counts` line of each
-  tree's `bench/run.py --trace 1` at the workload's first seed.
+  tree's `bench/run.py --trace 1` at every seed of its `--runs` entry.
 
 It prints the differences and one summary line, and exits 0 only when
 nothing differs.
@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         workloads = load_runner(trees["parent"]).WORKLOADS
         runs = args.runs or [(name, range(1, 2), range(0, 1)) for name in workloads]
         jobs = plan(trees["parent"], workloads, runs, scratch / "configs")
-        trace = [(name, seeds.start) for name, seeds, _ in runs]
+        trace = [(name, seed) for name, seeds, _ in runs for seed in seeds]
         outs = {side: scratch / side for side in trees}
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
             futures = {side: pool.submit(run_tree, trees[side], jobs, outs[side], trace)
